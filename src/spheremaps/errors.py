@@ -21,6 +21,10 @@ class InvalidProfile(ValueError):
     """A radial profile violates its boundary conditions."""
 
 
+class NotACircleMap(ValueError):
+    """A circle-map operation received something else (e.g. an S^2 map)."""
+
+
 class IndexOutOfRange(ValueError):
     """A Sobolev index (s, p) is outside the supported range."""
 

@@ -33,6 +33,16 @@ def nodes(m):
     return TWO_PI * np.arange(m) / m
 
 
+def patch_nonfinite(v, x=None):
+    """Replace non-finite entries by linear interpolation between their
+    finite neighbors over the abscissae x (the index when x is None)."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        x = np.arange(v.size) if x is None else x
+        v = np.interp(x, x[~bad], v[~bad])
+    return v
+
+
 @dataclass(frozen=True)
 class PhaseModel:
     """Closed-form phase theta -> phi(theta) of a circle map.
@@ -63,6 +73,8 @@ class CircleMap:
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=complex)
         _check_m(s.size)
+        if not np.all(np.isfinite(s)):
+            raise ValueError("samples must be finite")
         drift = np.max(np.abs(np.abs(s) - 1.0))
         if drift > 1e-12:
             raise ValueError(f"samples leave the unit circle by {drift:.3e}")
@@ -84,8 +96,12 @@ def from_phase(phase, m=None):
 
 
 def from_samples(samples):
+    """Project samples onto the unit circle; a zero sample has no direction."""
     s = np.asarray(samples, dtype=complex)
-    return CircleMap(s / np.abs(s))
+    r = np.abs(s)
+    if np.any(r == 0.0):
+        raise ValueError("a zero sample cannot be projected onto the circle")
+    return CircleMap(s / r)
 
 
 def power_map(d, m=None):

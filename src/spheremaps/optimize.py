@@ -6,16 +6,25 @@ so reported values start at an upper-bound witness and can only improve;
 random restarts probe for anything better.
 """
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import gallery, grid, seminorms
-from .errors import IndexOutOfRange
+from .errors import GridTooCoarse, IndexOutOfRange
 from .grid import TWO_PI, SobolevIndex
 
 PI = np.pi
+
+
+@functools.lru_cache(maxsize=8)
+def _nodes(m):
+    """grid.nodes(m), computed once per size and shared read-only."""
+    t = grid.nodes(m)
+    t.flags.writeable = False
+    return t
 
 
 @dataclass(frozen=True)
@@ -36,10 +45,6 @@ class PhaseAnsatz:
     def dim(self):
         return 2 * self.k + 2  # c0, alpha, a_1..a_K, b_1..b_K
 
-    def tables(self, t):
-        ks = np.arange(1, self.k + 1)
-        return np.cos(np.outer(t, ks)), np.sin(np.outer(t, ks))
-
     def _rotated(self, x):
         """Fold the rotation parameter alpha into the mode coefficients."""
         c0, alpha = x[0], x[1]
@@ -48,40 +53,70 @@ class PhaseAnsatz:
         ca, sa = np.cos(ks * alpha), np.sin(ks * alpha)
         return c0 - self.winding * alpha, a * ca - b * sa, a * sa + b * ca
 
-    def phase(self, t, x, cos_t=None, sin_t=None):
+    def phase(self, t, x):
+        """The phase at arbitrary points t (use sample on the uniform grid)."""
         c0, a, b = self._rotated(x)
-        if cos_t is None:
-            cos_t, sin_t = self.tables(t)
-        out = self.winding * t + c0 + cos_t @ a + sin_t @ b
+        kt = np.outer(t, np.arange(1, self.k + 1))
+        out = self.winding * t + c0 + np.cos(kt) @ a + np.sin(kt) @ b
         if self.base is not None:
             out = out + self.base.value(t)
         return out
 
-    def deriv(self, t, x, cos_t=None, sin_t=None):
+    def deriv(self, t, x):
+        """The phase derivative at arbitrary points t."""
         _, a, b = self._rotated(x)
-        if cos_t is None:
-            cos_t, sin_t = self.tables(t)
         ks = np.arange(1, self.k + 1)
-        out = self.winding - sin_t @ (ks * a) + cos_t @ (ks * b)
+        kt = np.outer(t, ks)
+        out = self.winding - np.sin(kt) @ (ks * a) + np.cos(kt) @ (ks * b)
         if self.base is not None:
             out = out + self.base.deriv(t)
         return out
 
+    def sample(self, x, m):
+        """(phase, deriv) on grid.nodes(m) from one inverse FFT.
+
+        With c_k = (a_k - i b_k)/2 the periodic part is the Hermitian
+        spectrum (c0, c_k, conj c_k) and its derivative is (0, ik c_k,
+        -ik conj c_k); packing the derivative as the imaginary part gives
+        the single spectrum c_k (1 - k) at +k and conj(c_k) (1 + k) at -k.
+        """
+        if 2 * self.k >= m:
+            raise GridTooCoarse(
+                f"{self.k} modes need a grid of more than {2 * self.k} "
+                f"nodes, got {m}")
+        c0, a, b = self._rotated(x)
+        ks = np.arange(1, self.k + 1)
+        c = 0.5 * (a - 1j * b)
+        spec = np.zeros(m, dtype=complex)
+        spec[0] = c0
+        spec[1:self.k + 1] = c * (1 - ks)
+        spec[m - self.k:] = (np.conj(c) * (1 + ks))[::-1]
+        z = np.fft.ifft(spec, norm="forward")
+        t = _nodes(m)
+        phase, deriv = self.winding * t + z.real, self.winding + z.imag
+        if self.base is not None:
+            phase = phase + self.base.value(t)
+            deriv = deriv + self.base.deriv(t)
+        return phase, deriv
+
     def to_map(self, x, m=None):
         m = grid.default_m() if m is None else m
-        return grid.from_samples(np.exp(1j * self.phase(grid.nodes(m), x)))
+        return grid.from_samples(np.exp(1j * self.sample(x, m)[0]))
 
 
 @dataclass
 class OptimizeReport:
+    """Best result of a search; nfev and nit are summed over its descents."""
+
     value: float
     params: np.ndarray
     trace: list
     restarts_used: int
     target: float
-    gap: float
+    gap: float  # absolute: value - target
+    nfev: int
+    nit: int
     budget_exhausted: bool = False
-    extras: dict = field(default_factory=dict)
 
 
 def _project_phase(values, winding, k):
@@ -149,65 +184,53 @@ class _Objective:
 
     Quadrature is the uniform trapezoid rule at m_obj nodes (all ansatz maps
     are smooth); the H^{1/2} branch uses the exact mode sum of the sampled
-    difference.
+    difference.  Each moving block is synthesized by PhaseAnsatz.sample;
+    the parameter-free terms (g's base, a fixed f) are sampled once here.
     """
 
     def __init__(self, index, ans_g, ans_f=None, f_fixed=None, m_obj=4096):
         self.index = index
-        self.ans_g = replace(ans_g, base=None)
-        self.ans_f = ans_f
-        self.t = grid.nodes(m_obj)
-        self.cos_t, self.sin_t = ans_g.tables(self.t)
-        # cache the base phase once; it is parameter-independent
-        self.gbase_val = 0.0 if ans_g.base is None else ans_g.base.value(self.t)
-        self.gbase_der = 0.0 if ans_g.base is None else ans_g.base.deriv(self.t)
         self.h_half = index.s == 0.5 and index.p == 2.0
         if not self.h_half and index.s != 1.0:
             raise IndexOutOfRange(
                 "searchable indices are (1, p) and (1/2, 2)")
+        self.m = m_obj
+        self.ans_g = replace(ans_g, base=None)
+        self.ans_f = ans_f
+        t = grid.nodes(m_obj)
+        self.g_base = (0.0, 0.0) if ans_g.base is None else (
+            ans_g.base.value(t), ans_g.base.deriv(t))
         if f_fixed is not None:
-            pm = f_fixed.phase
-            if pm is None:
-                pm = grid.phase_model_from_map(f_fixed)
-            self.fphi = pm.value(self.t)
-            self.fder = pm.deriv(self.t)
-            bad = ~np.isfinite(self.fder)
-            if bad.any():
-                idx = np.arange(self.t.size)
-                self.fder = np.interp(idx, idx[~bad], self.fder[~bad])
-
-    def split(self, x):
-        return x[: self.ans_f.dim], x[self.ans_f.dim:]
+            pm = f_fixed.phase or grid.phase_model_from_map(f_fixed)
+            self.f_fixed = (pm.value(t), grid.patch_nonfinite(pm.deriv(t)))
 
     def __call__(self, x):
         if self.ans_f is None:
-            fphi, xg = self.fphi, x
-            fder = None if self.h_half else self.fder
+            (fphi, fder), xg = self.f_fixed, x
         else:
-            xf, xg = self.split(x)
-            fphi = self.ans_f.phase(self.t, xf, self.cos_t, self.sin_t)
-            if not self.h_half:
-                fder = self.ans_f.deriv(self.t, xf, self.cos_t, self.sin_t)
-        gphi = self.ans_g.phase(self.t, xg, self.cos_t, self.sin_t) \
-            + self.gbase_val
+            xf, xg = x[:self.ans_f.dim], x[self.ans_f.dim:]
+            fphi, fder = self.ans_f.sample(xf, self.m)
+        gphi, gder = self.ans_g.sample(xg, self.m)
+        gphi = gphi + self.g_base[0]
         if self.h_half:
             diff = np.exp(1j * fphi) - np.exp(1j * gphi)
             return np.sqrt(seminorms.h_half_seminorm_sq(diff))
-        gder = self.ans_g.deriv(self.t, xg, self.cos_t, self.sin_t) \
-            + self.gbase_der
-        return _w1p_value(self.index.p, fder, gder, np.cos(fphi - gphi))
+        return _w1p_value(self.index.p, fder, gder + self.g_base[1],
+                          np.cos(fphi - gphi))
 
 
 def _run_simplex(objective, x0, budget):
+    """One Nelder-Mead descent; the trace holds the best simplex value after
+    each iteration, read from scipy's intermediate result."""
     trace = []
 
-    def cb(xk):
-        trace.append(float(objective(xk)))
+    def cb(intermediate_result):
+        trace.append(float(intermediate_result.fun))
 
     res = minimize(objective, x0, method="Nelder-Mead", callback=cb,
                    options={"maxiter": budget, "maxfev": 4 * budget,
                             "xatol": 1e-7, "fatol": 1e-11, "adaptive": True})
-    return float(res.fun), np.asarray(res.x), trace, not res.success
+    return res, trace
 
 
 def _pair_seeds(d1, d2, index, k, m=4096):
@@ -246,17 +269,11 @@ class _PeriodicPart:
             self.pm = grid.phase_model_from_map(f)
         self.d1 = d1
 
-    def _patch(self, t, vals):
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            vals = np.interp(t, t[~bad], vals[~bad])
-        return vals
-
     def value(self, t):
-        return self._patch(t, self.pm.value(t)) - self.d1 * t
+        return grid.patch_nonfinite(self.pm.value(t), t) - self.d1 * t
 
     def deriv(self, t):
-        return self._patch(t, self.pm.deriv(t)) - self.d1
+        return grid.patch_nonfinite(self.pm.deriv(t), t) - self.d1
 
 
 def _one_sided_seeds(d1, d2, k, m=4096):
@@ -280,23 +297,23 @@ def _one_sided_seeds(d1, d2, k, m=4096):
 
 
 def _search(obj, x_seeds, budget, restarts, seed, target):
-    best = (np.inf, None, [], True)
-    trace_all = []
+    runs = []
     n_runs = max(restarts, len(x_seeds))
     for r in range(n_runs):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=r))
         x0 = np.array(x_seeds[r % len(x_seeds)], dtype=float)
         if r >= len(x_seeds):
             x0 = x0 + 0.05 * rng.standard_normal(x0.size)
-        val, x, trace, exhausted = _run_simplex(obj, x0, budget)
-        trace_all.append(trace)
-        if val < best[0]:
-            best = (val, x, trace, exhausted)
-    value, params, trace, exhausted = best
-    return OptimizeReport(value=value, params=params, trace=trace,
+        runs.append(_run_simplex(obj, x0, budget))
+    # lowest value wins, the earliest run on ties; NaN never beats a number
+    best, trace = min(runs, key=lambda run: (np.isnan(run[0].fun), run[0].fun))
+    value = float(best.fun)
+    return OptimizeReport(value=value, params=np.asarray(best.x), trace=trace,
                           restarts_used=n_runs, target=target,
-                          gap=value - target, budget_exhausted=exhausted,
-                          extras={"all_traces": trace_all})
+                          gap=value - target,
+                          nfev=sum(int(res.nfev) for res, _ in runs),
+                          nit=sum(int(res.nit) for res, _ in runs),
+                          budget_exhausted=not best.success)
 
 
 def _pad_params(x, k):
@@ -345,8 +362,7 @@ def estimate_point_to_class(f, d2, index, k=32, budget=2000, restarts=8,
 
 
 def max_phase_derivative(ans, x, m=8192):
-    t = grid.nodes(m)
-    return float(np.max(np.abs(ans.deriv(t, x))))
+    return float(np.max(np.abs(ans.sample(x, m)[1])))
 
 
 def gauge_aligned_l2(f_opt, g_opt, f_ref, g_ref):

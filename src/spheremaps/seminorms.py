@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid
-from .errors import GridMismatch, IndexOutOfRange, MissingDerivative
+from .errors import (GridMismatch, IndexOutOfRange, MissingDerivative,
+                     NotACircleMap)
 from .grid import TWO_PI, CircleMap, SobolevIndex
 
 PI = np.pi
@@ -55,21 +56,12 @@ def _resolve_phases(f, g, derivs=None):
     return pf, pg
 
 
-def _patch_nonfinite(v):
-    """Replace isolated non-finite entries by a finite neighbor value."""
-    bad = ~np.isfinite(v)
-    if bad.any():
-        idx = np.arange(v.size)
-        v = np.interp(idx, idx[~bad], v[~bad])
-    return v
-
-
 def _phase_integrand(pf, pg, t, p):
     dphi = pf.deriv(t)
     dpsi = pg.deriv(t)
     gap = pf.value(t) - pg.value(t)
     sq = dphi ** 2 + dpsi ** 2 - 2.0 * dphi * dpsi * np.cos(gap)
-    return _patch_nonfinite(np.maximum(sq, 0.0)) ** (p / 2.0)
+    return grid.patch_nonfinite(np.maximum(sq, 0.0)) ** (p / 2.0)
 
 
 def w1p_distance(f, g, p, derivs=None):
@@ -234,6 +226,10 @@ def pointwise_identity_check(f, g, derivs=None):
 
 def seminorm(h, index, method, g=None, m=None):
     """Uniform entry point returning a SeminormResult (used by the CLI)."""
+    for v in (h, g):
+        if v is not None and not isinstance(v, CircleMap) and np.ndim(v) != 1:
+            raise NotACircleMap(
+                f"semi-norms take circle maps, got {type(v).__name__}")
     if method == "w1p_quadrature":
         val = w1p_distance(h, g if g is not None else grid.power_map(0, h.m),
                            index.p)

@@ -92,6 +92,14 @@ class TestCommands:
         r = run_cli("degree", "--map", "power:d")
         assert r.returncode == 2
 
+    def test_seminorm_of_sphere_map_exits_two(self):
+        r = run_cli("seminorm", "--map", "stereo:d=1", "--s", "1",
+                    "--p", "2")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.strip().splitlines()) == 1
+
     def test_unknown_param_exits_two(self):
         r = run_cli("experiment", "w11-zigzag", "--param", "bogus=1")
         assert r.returncode == 2

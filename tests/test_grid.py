@@ -120,6 +120,25 @@ class TestMapAlgebra:
         with pytest.raises(ValueError):
             grid.CircleMap(1.5 * np.exp(1j * grid.nodes(64)), None)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_samples_rejected(self, bad):
+        s = np.exp(1j * grid.nodes(64))
+        s[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            grid.CircleMap(s)
+
+    def test_from_samples_rejects_zero_sample(self):
+        s = 2.0 * np.exp(1j * grid.nodes(64))
+        s[7] = 0.0
+        with pytest.raises(ValueError, match="zero sample"):
+            grid.from_samples(s)
+
+    def test_patch_nonfinite_interpolates_over_abscissae(self):
+        v = np.array([0.0, np.nan, 4.0, 6.0])
+        assert np.array_equal(grid.patch_nonfinite(v), [0.0, 2.0, 4.0, 6.0])
+        x = np.array([0.0, 3.0, 4.0, 5.0])
+        assert np.array_equal(grid.patch_nonfinite(v, x), [0.0, 3.0, 4.0, 6.0])
+
     @given(st.integers(min_value=-3, max_value=3),
            st.integers(min_value=-3, max_value=3))
     @settings(max_examples=20, deadline=None)

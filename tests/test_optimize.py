@@ -4,7 +4,8 @@ closed-form targets, and small end-to-end searches."""
 import numpy as np
 import pytest
 
-from spheremaps import gallery, grid, optimize
+from spheremaps import gallery, grid, optimize, seminorms
+from spheremaps.errors import GridTooCoarse
 from spheremaps.grid import SobolevIndex
 
 PI = np.pi
@@ -138,3 +139,118 @@ class TestSeedsAndSearch:
     def test_attainment_probe_exact_at_p_one(self):
         probe = optimize.attainment_probe(1, 1.0, budget=200, k=8)
         assert abs(probe["value"] - probe["target"]) < 1e-5 * probe["target"]
+
+
+def _direct_objective(index, x, ans_g, ans_f=None, f=None, m=1024):
+    """Reference _Objective value from phase/deriv evaluated on the grid."""
+    t = grid.nodes(m)
+    if ans_f is None:
+        pm = f.phase or grid.phase_model_from_map(f)
+        fphi, fder, xg = pm.value(t), pm.deriv(t), x
+    else:
+        xf, xg = x[:ans_f.dim], x[ans_f.dim:]
+        fphi, fder = ans_f.phase(t, xf), ans_f.deriv(t, xf)
+    gphi, gder = ans_g.phase(t, xg), ans_g.deriv(t, xg)
+    if index.s == 0.5:
+        diff = np.exp(1j * fphi) - np.exp(1j * gphi)
+        return np.sqrt(seminorms.h_half_seminorm_sq(diff))
+    q = np.maximum(fder ** 2 + gder ** 2
+                   - 2.0 * fder * gder * np.cos(fphi - gphi), 0.0)
+    return (np.mean(q ** (0.5 * index.p)) * TWO_PI) ** (1.0 / index.p)
+
+
+class TestGridSynthesis:
+    @pytest.mark.parametrize("k", [4, 32, 128])
+    @pytest.mark.parametrize("winding", [-2, -1, 0, 1, 2, 3])
+    def test_sample_matches_phase_and_deriv(self, winding, k):
+        ans = optimize.PhaseAnsatz(winding, k)
+        rng = np.random.default_rng(100 * k + winding + 2)
+        x = 0.3 * rng.standard_normal(ans.dim)
+        m = 1024
+        t = grid.nodes(m)
+        phase, deriv = ans.sample(x, m)
+        ref_phase, ref_deriv = ans.phase(t, x), ans.deriv(t, x)
+        assert np.max(np.abs(phase - ref_phase)) <= 1e-12 * np.max(
+            np.abs(ref_phase))
+        assert np.max(np.abs(deriv - ref_deriv)) <= 1e-12 * np.max(
+            np.abs(ref_deriv))
+
+    def test_sample_includes_the_base(self):
+        f = gallery.oscillator(1, 6)
+        ans = optimize.PhaseAnsatz(0, 8, base=optimize._PeriodicPart(f, 1))
+        x = 0.2 * np.random.default_rng(5).standard_normal(ans.dim)
+        t = grid.nodes(512)
+        phase, deriv = ans.sample(x, 512)
+        assert np.allclose(phase, ans.phase(t, x), rtol=0, atol=1e-12)
+        assert np.allclose(deriv, ans.deriv(t, x), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("k,m", [(8, 16), (16, 16), (128, 256)])
+    def test_sample_rejects_aliased_grids(self, k, m):
+        ans = optimize.PhaseAnsatz(1, k)
+        with pytest.raises(GridTooCoarse):
+            ans.sample(np.zeros(ans.dim), m)
+
+
+class TestObjective:
+    @staticmethod
+    def _check(index, ans_g, ans_f=None, f=None, seed=0):
+        obj = optimize._Objective(index, ans_g, ans_f=ans_f, f_fixed=f,
+                                  m_obj=1024)
+        dim = ans_g.dim + (0 if ans_f is None else ans_f.dim)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            x = 0.2 * rng.standard_normal(dim)
+            ref = _direct_objective(index, x, ans_g, ans_f, f)
+            assert abs(obj(x) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_two_sided_w1p_matches_direct_reference(self, p):
+        self._check(SobolevIndex(1.0, p), optimize.PhaseAnsatz(0, 16),
+                    ans_f=optimize.PhaseAnsatz(1, 16), seed=int(10 * p))
+
+    def test_one_sided_with_periodic_base_matches_direct_reference(self):
+        f = gallery.oscillator(1, 6)
+        ans_g = optimize.PhaseAnsatz(0, 16, base=optimize._PeriodicPart(f, 1))
+        self._check(SobolevIndex(1.0, 1.0), ans_g, f=f, seed=7)
+
+    def test_h_half_matches_direct_reference(self):
+        self._check(SobolevIndex(0.5, 2.0), optimize.PhaseAnsatz(1, 16),
+                    ans_f=optimize.PhaseAnsatz(0, 16), seed=11)
+
+
+class TestReportCounters:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        call = optimize._Objective.__call__
+
+        def counting(obj, x):
+            calls.append(1)
+            return call(obj, x)
+
+        monkeypatch.setattr(optimize._Objective, "__call__", counting)
+        return calls
+
+    def test_nfev_counts_every_objective_call(self, counted):
+        f = gallery.build_map("power", d=1)
+        rep = optimize.estimate_inf_distance(
+            f, 0, SobolevIndex(1.0, 2.0), k=4, budget=40, restarts=0,
+            m_obj=256)
+        assert rep.nfev == len(counted)
+        assert rep.nit >= len(rep.trace) > 0
+
+    def test_one_sided_nfev_and_monotone_trace(self, counted):
+        f = gallery.oscillator(1, 6)
+        rep = optimize.estimate_point_to_class(
+            f, 0, SobolevIndex(1.0, 1.0), k=4, budget=40, restarts=0,
+            m_obj=256)
+        assert rep.nfev == len(counted)
+        assert np.all(np.diff(rep.trace) <= 0.0)
+        assert rep.trace[-1] >= rep.value
+
+    def test_trace_never_increases(self):
+        f = gallery.build_map("power", d=0)
+        rep = optimize.estimate_inf_distance(
+            f, 1, SobolevIndex(0.5, 2.0), k=4, budget=40, restarts=0,
+            m_obj=256)
+        assert np.all(np.diff(rep.trace) <= 0.0)

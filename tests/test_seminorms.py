@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremaps import gallery, grid, seminorms
-from spheremaps.errors import GridMismatch, IndexOutOfRange
+from spheremaps import gallery, grid, seminorms, sphere2
+from spheremaps.errors import GridMismatch, IndexOutOfRange, NotACircleMap
 from spheremaps.grid import TWO_PI, SobolevIndex
 
 PI = np.pi
@@ -162,6 +162,15 @@ class TestSupAndDispatch:
             assert res.method == method and np.isfinite(res.value)
         res = seminorms.seminorm(f, SobolevIndex(1.0, 1.0), "w1p_quadrature")
         assert abs(res.value - TWO_PI) < 1e-6
+
+    @pytest.mark.parametrize("method", ["w1p_quadrature", "sup_norm"])
+    def test_dispatcher_rejects_sphere_maps(self, method):
+        f = sphere2.stereographic_power(1, n_phi=16)
+        with pytest.raises(NotACircleMap):
+            seminorms.seminorm(f, SobolevIndex(1.0, 2.0), method)
+        with pytest.raises(NotACircleMap):
+            seminorms.seminorm(grid.power_map(1), SobolevIndex(1.0, 2.0),
+                               method, g=f)
 
 
 class TestLowerBoundInvariants:
