@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from . import experiments, gallery, grid, optimize, seminorms, sphere2
+from .errors import IndexOutOfRange
 from .grid import CircleMap, SobolevIndex
 from .sphere2 import Sphere2Map
 
@@ -136,9 +137,14 @@ def cmd_pair(args):
     pair = parse_pair_spec(args.pair)
     index = SobolevIndex(args.s, args.p)
     if isinstance(pair.f, Sphere2Map):
+        if (args.s, args.p) != (1.0, 2.0) or args.method not in (None, "h1"):
+            raise IndexOutOfRange(
+                "S^2 pairs have only the H^1 distance: use --s 1 --p 2 and "
+                f"no --method or h1 (got s={args.s:g}, p={args.p:g}, "
+                f"method={args.method})")
         val = sphere2.h1_distance(pair.f, pair.g)
         rows = [{"method": "h1_quadrature", "s": args.s, "p": args.p,
-                 "value_sq": val, "value": float(np.sqrt(val))}]
+                 "value_sq": val ** 2, "value": val}]
     else:
         rows = _norm_rows(pair.f, pair.g, index, args.method)
         for r in rows:
@@ -148,6 +154,8 @@ def cmd_pair(args):
 
 
 def cmd_experiment(args):
+    if args.name == "all" and args.param:
+        raise ValueError("--param needs one named experiment, not 'all'")
     names = (list(experiments.REGISTRY) if args.name == "all"
              else [args.name])
     overrides = {}
@@ -165,8 +173,7 @@ def cmd_experiment(args):
     all_ok = True
     for name in names:
         try:
-            result = experiments.run_experiment(
-                name, **(overrides if args.name != "all" else {}))
+            result = experiments.run_experiment(name, **overrides)
         except KeyError as exc:
             sys.stderr.write(f"error: {exc.args[0]}\n")
             return 2

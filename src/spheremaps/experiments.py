@@ -137,7 +137,7 @@ def _run_eps_bump_critical(eps="1e-2,1e-3,1e-4", n_dim=1):
             value = math.sqrt(seminorms.h_half_seminorm_sq(
                 pair.f.samples - pair.g.samples))
         else:
-            value = math.sqrt(sphere2.h1_distance(pair.f, pair.g))
+            value = sphere2.h1_distance(pair.f, pair.g)
         vals.append(value)
         rows.append({"eps": ev, "value": value})
     ok = all(a > b for a, b in zip(vals, vals[1:]))
@@ -200,7 +200,7 @@ def _run_s2_vo1(d_list="3,7", n_phi=256):
         pf, pg = pair.f, pair.g
         fields.append(pf.values - pg.values)
         h1s.append(sphere2.h1_distance(pf, pg))
-        rows.append({"d1": dv, "d2": 0, "h1_distance_sq": h1s[-1]})
+        rows.append({"d1": dv, "d2": 0, "h1_distance": h1s[-1]})
     dev = max(float(np.max(np.abs(fields[0] - fb))) for fb in fields[1:])
     h1dev = max(abs(h - h1s[0]) for h in h1s)
     ok = dev < 1e-12 and h1dev < 1e-6

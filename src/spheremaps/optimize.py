@@ -7,16 +7,26 @@ random restarts probe for anything better.
 """
 
 import functools
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import gallery, grid, seminorms
 from .errors import GridTooCoarse, IndexOutOfRange
 from .grid import TWO_PI, SobolevIndex
 
 PI = np.pi
+
+
+def __getattr__(name):
+    """`minimize` is scipy's, imported on first use: scipy.optimize is most
+    of a cold start, and only a descent needs it."""
+    if name == "minimize":
+        from scipy.optimize import minimize
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -185,10 +195,11 @@ class _Objective:
     Quadrature is the uniform trapezoid rule at m_obj nodes (all ansatz maps
     are smooth); the H^{1/2} branch uses the exact mode sum of the sampled
     difference.  Each moving block is synthesized by PhaseAnsatz.sample;
-    the parameter-free terms (g's base, a fixed f) are sampled once here.
+    the parameter-free terms (g's base, the phase model f_phase of a fixed
+    f) are sampled once here.
     """
 
-    def __init__(self, index, ans_g, ans_f=None, f_fixed=None, m_obj=4096):
+    def __init__(self, index, ans_g, ans_f=None, f_phase=None, m_obj=4096):
         self.index = index
         self.h_half = index.s == 0.5 and index.p == 2.0
         if not self.h_half and index.s != 1.0:
@@ -200,9 +211,9 @@ class _Objective:
         t = grid.nodes(m_obj)
         self.g_base = (0.0, 0.0) if ans_g.base is None else (
             ans_g.base.value(t), ans_g.base.deriv(t))
-        if f_fixed is not None:
-            pm = f_fixed.phase or grid.phase_model_from_map(f_fixed)
-            self.f_fixed = (pm.value(t), grid.patch_nonfinite(pm.deriv(t)))
+        if f_phase is not None:
+            self.f_fixed = (f_phase.value(t),
+                            grid.patch_nonfinite(f_phase.deriv(t)))
 
     def __call__(self, x):
         if self.ans_f is None:
@@ -227,6 +238,9 @@ def _run_simplex(objective, x0, budget):
     def cb(intermediate_result):
         trace.append(float(intermediate_result.fun))
 
+    # looked up on the module at call time, so a replacement set there (a
+    # test double, a tracer) sees every descent
+    minimize = sys.modules[__name__].minimize
     res = minimize(objective, x0, method="Nelder-Mead", callback=cb,
                    options={"maxiter": budget, "maxfev": 4 * budget,
                             "xatol": 1e-7, "fatol": 1e-11, "adaptive": True})
@@ -261,7 +275,8 @@ def _pair_seeds(d1, d2, index, k, m=4096):
 
 class _PeriodicPart:
     """The periodic part of a fixed map's phase, used as an ansatz base so
-    the search only has to move the slow component."""
+    the search only has to move the slow component.  pm is the map's phase
+    model, fitted here when the map has none."""
 
     def __init__(self, f, d1):
         self.pm = f.phase
@@ -353,8 +368,9 @@ def estimate_point_to_class(f, d2, index, k=32, budget=2000, restarts=8,
     """One-sided estimate of inf over the degree-d2 class of |f - g|,
     with f held fixed."""
     d1 = grid.degree_winding(f)
-    ans_g = PhaseAnsatz(d2, k, base=_PeriodicPart(f, d1))
-    obj = _Objective(index, ans_g, f_fixed=f, m_obj=m_obj)
+    base = _PeriodicPart(f, d1)
+    ans_g = PhaseAnsatz(d2, k, base=base)
+    obj = _Objective(index, ans_g, f_phase=base.pm, m_obj=m_obj)
     x_seeds = _one_sided_seeds(d1, d2, k)
     # the class distance is a lower bound for any fixed f in the class
     target = w1p_formula(index.p, d1, d2) if index.s == 1.0 else 0.0

@@ -5,6 +5,7 @@ The Fourier form is the canonical H^{1/2} value; the Gagliardo double sum
 ratio, see calibration_ratio.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,18 @@ def h_half_seminorm_sq(h):
     """
     v = _values(h)
     a = np.fft.fft(v) / v.size
-    n = grid.fourier_modes(v.size)
-    return float(4.0 * np.pi ** 2 * np.sum(np.abs(n) * np.abs(a) ** 2))
+    return float(4.0 * np.pi ** 2 * np.sum(_abs_modes(v.size)
+                                           * np.abs(a) ** 2))
+
+
+# one size only: a search calls this thousands of times at one m, and a
+# one-off 2^21-point grid must not keep its 16 MB of modes alive
+@functools.lru_cache(maxsize=1)
+def _abs_modes(m):
+    """|grid.fourier_modes(m)|, computed once per size and shared read-only."""
+    n = np.abs(grid.fourier_modes(m))
+    n.flags.writeable = False
+    return n
 
 
 def gagliardo_seminorm(h, s, p):

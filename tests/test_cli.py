@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from spheremaps import cli, grid
+from spheremaps import cli, gallery, grid, sphere2
 
 PI = np.pi
 
@@ -103,6 +103,52 @@ class TestCommands:
     def test_unknown_param_exits_two(self):
         r = run_cli("experiment", "w11-zigzag", "--param", "bogus=1")
         assert r.returncode == 2
+
+    def test_experiment_all_rejects_params(self, capsys):
+        assert cli.main(["experiment", "all", "--param", "d1=2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestSpherePair:
+    SPEC = "vo1:d1=3,d2=1,nphi=64"
+
+    @pytest.mark.parametrize("method", [None, "h1"])
+    def test_value_is_the_h1_distance(self, capsys, method):
+        argv = ["pair", "--pair", self.SPEC, "--s", "1", "--p", "2"]
+        assert cli.main(argv + (["--method", method] if method else [])) == 0
+        head, row = capsys.readouterr().out.splitlines()
+        row = dict(zip(head.split(","), row.split(",")))
+        pair = gallery.build_pair("vo1", d1=3, d2=1, nphi=64)
+        dist = sphere2.h1_distance(pair.f, pair.g)
+        assert float(row["value"]) == dist
+        assert float(row["value_sq"]) == dist ** 2
+
+    @pytest.mark.parametrize("s,p,method", [
+        ("0.5", "2", None), ("1", "1", None), ("1", "2", "w1p")])
+    def test_other_indices_and_methods_exit_two(self, capsys, s, p, method):
+        argv = ["pair", "--pair", self.SPEC, "--s", s, "--p", p]
+        assert cli.main(argv + (["--method", method] if method else [])) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestColdStart:
+    def test_commands_without_a_search_never_import_scipy_optimize(self):
+        code = ("import sys\n"
+                "from spheremaps import cli\n"
+                "imported = 'scipy.optimize' in sys.modules\n"
+                "cli.main(['degree', '--map', 'power:d=3'])\n"
+                "cli.main(['experiment', 'w11-zigzag'])\n"
+                "print(imported, 'scipy.optimize' in sys.modules)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "False False"
 
 
 class TestDeterminism:

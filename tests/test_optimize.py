@@ -194,7 +194,9 @@ class TestGridSynthesis:
 class TestObjective:
     @staticmethod
     def _check(index, ans_g, ans_f=None, f=None, seed=0):
-        obj = optimize._Objective(index, ans_g, ans_f=ans_f, f_fixed=f,
+        f_phase = None if f is None else (
+            f.phase or grid.phase_model_from_map(f))
+        obj = optimize._Objective(index, ans_g, ans_f=ans_f, f_phase=f_phase,
                                   m_obj=1024)
         dim = ans_g.dim + (0 if ans_f is None else ans_f.dim)
         rng = np.random.default_rng(seed)
@@ -254,3 +256,46 @@ class TestReportCounters:
             f, 1, SobolevIndex(0.5, 2.0), k=4, budget=40, restarts=0,
             m_obj=256)
         assert np.all(np.diff(rep.trace) <= 0.0)
+
+
+class TestLazyScipy:
+    def test_minimize_is_scipys(self):
+        import scipy.optimize
+
+        assert optimize.minimize is scipy.optimize.minimize
+
+    def test_a_replaced_minimize_sees_every_descent(self, monkeypatch):
+        calls = []
+        scipy_minimize = optimize.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scipy_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", counting)
+        rep = optimize.estimate_inf_distance(
+            gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0), k=4,
+            budget=20, restarts=0, m_obj=256)
+        assert len(calls) == rep.restarts_used > 0
+
+
+def test_point_to_class_fits_a_sampled_map_once(monkeypatch):
+    t = grid.nodes(1024)
+    f = grid.from_samples(np.exp(1j * (t + 0.3 * np.sin(2.0 * t))))
+    fits = []
+    fit = grid.phase_model_from_map
+
+    def counting(g, *args, **kwargs):
+        fits.append(1)
+        return fit(g, *args, **kwargs)
+
+    monkeypatch.setattr(grid, "phase_model_from_map", counting)
+    kwargs = dict(k=4, budget=40, restarts=0, m_obj=256)
+    rep = optimize.estimate_point_to_class(f, 0, SobolevIndex(1.0, 1.0),
+                                           **kwargs)
+    assert len(fits) == 1
+    fitted = grid.CircleMap(f.samples, phase=fit(f))
+    ref = optimize.estimate_point_to_class(fitted, 0, SobolevIndex(1.0, 1.0),
+                                           **kwargs)
+    assert len(fits) == 1
+    assert rep.value == ref.value

@@ -101,6 +101,19 @@ class TestFourierHalf:
             val = seminorms.h_half_seminorm_sq(h)
             assert abs(val - 8 * PI ** 2) < 1e-6
 
+    @pytest.mark.parametrize("m", [16, 17, 1024, 4096])
+    def test_cached_modes_give_identical_values(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(2):  # the second call reads the cached modes
+            v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            a = np.fft.fft(v) / m
+            ref = float(4.0 * PI ** 2 * np.sum(
+                np.abs(grid.fourier_modes(m)) * np.abs(a) ** 2))
+            assert seminorms.h_half_seminorm_sq(v) == ref
+        n = grid.fourier_modes(m)
+        n[0] = 99  # a fresh writable array each call; the cache is not it
+        assert grid.fourier_modes(m)[0] == 0
+
 
 class TestGagliardo:
     def test_rejects_s_out_of_range(self):

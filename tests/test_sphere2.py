@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spheremaps import sphere2
+from spheremaps import experiments, gallery, sphere2
 from spheremaps.errors import GridMismatch, Overcrowded
 
 PI = np.pi
@@ -106,9 +106,26 @@ class TestPairFields:
         assert abs(sphere2.degree_kronecker_s2(pair.g) - 0) < 1e-2
 
     def test_bump_pair_degrees(self):
-        from spheremaps import gallery
-
         prof = gallery.capacity_profiles(1e-2)
         pair = sphere2.bump_pair_s2(prof, n_phi=384)
         assert abs(sphere2.degree_kronecker_s2(pair.f) - 1) < 1e-2
         assert abs(sphere2.degree_kronecker_s2(pair.g) - 0) < 1e-2
+
+
+class TestH1Rows:
+    """Experiment rows carry sphere2.h1_distance as returned: a root."""
+
+    def test_s2_vo1_rows_hold_the_distance(self):
+        res = experiments.run_experiment("s2-vo1", d_list="3,7", n_phi=64)
+        for row, d in zip(res.rows, (3, 7)):
+            assert "h1_distance_sq" not in row
+            pair = sphere2.vo1_pair(d, 0, n_phi=64)
+            assert row["h1_distance"] == sphere2.h1_distance(pair.f, pair.g)
+
+    def test_eps_bump_critical_on_s2_takes_no_extra_root(self):
+        res = experiments.run_experiment("eps-bump-critical",
+                                         eps="1e-2,1e-3", n_dim=2)
+        for row in res.rows:
+            pair = gallery.bump_pair(row["eps"], n_dim=2)
+            assert row["value"] == sphere2.h1_distance(pair.f, pair.g)
+        assert res.passed
