@@ -10,9 +10,7 @@ import numpy as np
 
 from . import grid
 from .errors import IndexOutOfRange, NotLocallyConstant, Overcrowded
-from .grid import TWO_PI, CircleMap, phase_model
-
-PI = np.pi
+from .grid import PI, TWO_PI, CircleMap, phase_model
 
 
 @dataclass(frozen=True)
@@ -186,18 +184,6 @@ def s_phase(theta):
     return 2.0 * np.arcsin(_wrap(theta) / PI)
 
 
-def compose_t(f):
-    """Post-compose a CircleMap with T."""
-    ph = grid.lift(f)
-    return grid.from_samples(np.exp(1j * t_phase(ph.values)))
-
-
-def compose_s(f):
-    """Post-compose a CircleMap with S (left inverse of compose_t)."""
-    ph = grid.lift(f)
-    return grid.from_samples(np.exp(1j * s_phase(ph.values)))
-
-
 def attainment_pair(d1, p, m=None):
     """The extremal pair attaining the W^{1,p} class distance for d2 = -d1.
 
@@ -282,14 +268,22 @@ class CapacityProfiles:
         return out
 
     def F(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < self.eps,
-                        PI * (1.0 - cap_k(r / self.eps)) / 2.0,
-                        PI * (1.0 - self.H(r) / 2.0))
+        return self.profiles(r)[0]
 
     def G(self, r):
+        return self.profiles(r)[1]
+
+    def profiles(self, r):
+        """(F(r), G(r)) from one evaluation of H and of the eps-cap."""
         r = np.asarray(r, dtype=float)
-        return np.where(r < self.eps, self.F(r), PI * self.H(r) / 2.0)
+        h = self.H(r)
+        inner = r < self.eps
+        core = PI * (1.0 - cap_k(r[inner] / self.eps)) / 2.0
+        f = np.asarray(PI * (1.0 - h / 2.0))  # 0-d stays an array
+        g = np.asarray(PI * h / 2.0)
+        f[inner] = core
+        g[inner] = core
+        return f, g
 
 
 def capacity_profiles(eps):
@@ -298,10 +292,16 @@ def capacity_profiles(eps):
     return CapacityProfiles(float(eps))
 
 
+def _arc_offset(theta):
+    """(sign(x), |x|) for the arc offset x = theta - pi."""
+    x = np.asarray(theta, dtype=float) - PI
+    return np.sign(x), np.abs(x)
+
+
 def _bump_phase_1d(profile_fn, theta):
     """Phase -pi/2 + sign(x) * profile(|x|) with x the arc offset from pi."""
-    x = np.asarray(theta, dtype=float) - PI
-    return -PI / 2.0 + np.sign(x) * profile_fn(np.abs(x))
+    sign, r = _arc_offset(theta)
+    return -PI / 2.0 + sign * profile_fn(r)
 
 
 def bump_pair(eps, n_dim=1, m=None, n_phi=None):
@@ -310,8 +310,9 @@ def bump_pair(eps, n_dim=1, m=None, n_phi=None):
     prof = capacity_profiles(eps)
     if n_dim == 1:
         m = (1 << 20) if m is None else m
-        f = grid.from_samples(np.exp(1j * _bump_phase_1d(prof.F, grid.nodes(m))))
-        g = grid.from_samples(np.exp(1j * _bump_phase_1d(prof.G, grid.nodes(m))))
+        sign, r = _arc_offset(grid.nodes(m))
+        f, g = (grid.from_samples(np.exp(1j * (-PI / 2.0 + sign * prof_r)))
+                for prof_r in prof.profiles(r))
         return GalleryPair(f, g, {"eps": eps, "n_dim": 1}, "critical_bump")
     if n_dim == 2:
         from . import sphere2

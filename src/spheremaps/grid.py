@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import GridMismatch, GridTooCoarse, MissingDerivative
 
+PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 
@@ -143,13 +144,6 @@ class SobolevIndex:
         if not (self.s > 0 and self.p >= 1):
             raise ValueError(f"need s > 0 and p >= 1, got ({self.s}, {self.p})")
 
-    def regime(self, n=1):
-        """'critical', 'supercritical', or 'subcritical' relative to dimension n."""
-        sp = self.s * self.p
-        if abs(sp - n) < 1e-12:
-            return "critical"
-        return "supercritical" if sp > n else "subcritical"
-
 
 def lift(f):
     """Lift f to a continuous phase via principal-value increments.
@@ -159,7 +153,7 @@ def lift(f):
     """
     s = f.samples
     inc = np.angle(s / np.roll(s, 1))  # inc[j] = principal arg(s_j / s_{j-1})
-    if np.max(np.abs(inc)) >= np.pi - 1e-6:
+    if np.max(np.abs(inc)) >= PI - 1e-6:
         raise GridTooCoarse("adjacent samples are antipodal; refine the grid")
     values = np.angle(s[0]) + np.concatenate(([0.0], np.cumsum(inc[1:])))
     total = np.sum(inc[1:]) + inc[0]  # closes the loop

@@ -14,9 +14,7 @@ import numpy as np
 
 from . import gallery, grid, seminorms
 from .errors import GridTooCoarse, IndexOutOfRange
-from .grid import TWO_PI, SobolevIndex
-
-PI = np.pi
+from .grid import PI, TWO_PI, SobolevIndex
 
 
 def __getattr__(name):
@@ -116,7 +114,10 @@ class PhaseAnsatz:
 
 @dataclass
 class OptimizeReport:
-    """Best result of a search; nfev and nit are summed over its descents."""
+    """Best result of a search; nfev and nit are summed over its descents.
+
+    gap is absolute (value - target); gap_rel is relative (gap / target).
+    """
 
     value: float
     params: np.ndarray
@@ -127,6 +128,12 @@ class OptimizeReport:
     nfev: int
     nit: int
     budget_exhausted: bool = False
+
+    @property
+    def gap_rel(self):
+        """Relative gap (value - target) / target; NaN when the target is 0
+        (the H^{1/2} class distance)."""
+        return self.gap / self.target if self.target else float("nan")
 
 
 def _project_phase(values, winding, k):
@@ -423,7 +430,7 @@ def attainment_probe(d1, p, budget=2000, k=32, seed=0, restarts=3,
         close = gauge_aligned_l2(ans_f.to_map(xf, ref.f.m),
                                  ans_g.to_map(xg, ref.f.m), ref.f, ref.g)
         return {"p": p, "value": rep.value, "target": rep.target,
-                "gap_rel": rep.gap / rep.target, "l2_to_minimizer": close,
+                "gap_rel": rep.gap_rel, "l2_to_minimizer": close,
                 "stages": [{"value": rep.value}]}
     stages = []
     for mult, kk in ((1, k), (4, 4 * k)):
@@ -435,6 +442,6 @@ def attainment_probe(d1, p, budget=2000, k=32, seed=0, restarts=3,
         sharp = max(max_phase_derivative(ans_f, xf),
                     max_phase_derivative(ans_g, xg))
         stages.append({"budget": mult * budget, "k": kk, "value": rep.value,
-                       "max_dpsi": sharp, "gap_rel": rep.gap / rep.target})
+                       "max_dpsi": sharp, "gap_rel": rep.gap_rel})
     return {"p": p, "value": stages[-1]["value"],
             "target": w1p_formula(p, d1, 0), "stages": stages}

@@ -13,9 +13,7 @@ import numpy as np
 from . import grid
 from .errors import (GridMismatch, IndexOutOfRange, MissingDerivative,
                      NotACircleMap)
-from .grid import TWO_PI, CircleMap, SobolevIndex
-
-PI = np.pi
+from .grid import PI, TWO_PI, CircleMap, SobolevIndex
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,8 @@ def h_half_seminorm_sq(h):
     """
     v = _values(h)
     a = np.fft.fft(v) / v.size
-    return float(4.0 * np.pi ** 2 * np.sum(_abs_modes(v.size)
-                                           * np.abs(a) ** 2))
+    return float(4.0 * PI ** 2 * np.sum(_abs_modes(v.size)
+                                        * np.abs(a) ** 2))
 
 
 # one size only: a search calls this thousands of times at one m, and a
@@ -131,7 +129,9 @@ def gagliardo_seminorm(h, s, p):
 
     Kernel distance is arc length on S^1; the diagonal is excluded and the
     nearest-neighbor term reduces to the difference-quotient convention.
-    Summation is per-offset then pairwise, so the result is deterministic.
+    The offset sums S_k = sum_j |v_j - v_{j+k}|^p satisfy S_k = S_{M-k}, so
+    only k <= M/2 is summed.  At p = 2 all of them come from one FFT
+    autocorrelation, S_k = 2 sum |v|^2 - 2 Re corr(k), in O(M log M).
     """
     if not (0.0 < s < 1.0):
         raise IndexOutOfRange(f"Gagliardo index needs 0 < s < 1, got {s}")
@@ -142,18 +142,46 @@ def gagliardo_seminorm(h, s, p):
     dtheta = TWO_PI / m
     k = np.arange(1, m)
     dist = dtheta * np.minimum(k, m - k)
-    offset_sums = np.empty(m - 1)
-    for i, kk in enumerate(k):
-        offset_sums[i] = np.sum(np.abs(v - np.roll(v, -kk)) ** p)
+    if p == 2:
+        v = v - np.mean(v)  # differences are unchanged; the energy shrinks
+        corr = np.fft.ifft(np.abs(np.fft.fft(v)) ** 2).real
+        offset_sums = 2.0 * (corr[0] - corr[1:])
+    else:
+        vv = np.concatenate((v, v))
+        offset_sums = np.empty(m - 1)
+        for kk in range(1, m // 2 + 1):
+            d = v - vv[kk:kk + m]
+            offset_sums[kk - 1] = offset_sums[m - kk - 1] = np.sum(
+                (d.real ** 2 + d.imag ** 2) ** (p / 2.0))
     total = np.sum(offset_sums / dist ** (1.0 + s * p)) * dtheta ** 2
     return total ** (1.0 / p)
+
+
+# rows per block of the dense kernels: one block holds _ROWS x N entries
+_ROWS = 64
+
+
+def _symmetric_form(w, block):
+    """w @ A @ w for a symmetric N x N matrix A given by row blocks.
+
+    block(a, b) returns A[a:b, a:], the rows a..b-1 from the diagonal on;
+    each block off the diagonal stands for its mirror image too.
+    """
+    total = 0.0
+    for a in range(0, w.size, _ROWS):
+        b = min(a + _ROWS, w.size)
+        u = w[a:b] @ block(a, b)
+        total += u[:b - a] @ w[a:b] + 2.0 * (u[b - a:] @ w[b:])
+    return float(total)
 
 
 def gagliardo_nonuniform(values, thetas, s, p):
     """Gagliardo double sum on arbitrary sorted nodes in [0, 2*pi).
 
     Trapezoid weights in both variables; used for profiles whose activity
-    lives on scales a uniform grid cannot reach (log-spaced nodes).
+    lives on scales a uniform grid cannot reach (log-spaced nodes).  The
+    kernel matrix is summed over its upper block triangle, one row block at
+    a time.
     """
     if not (0.0 < s < 1.0):
         raise IndexOutOfRange(f"Gagliardo index needs 0 < s < 1, got {s}")
@@ -161,14 +189,16 @@ def gagliardo_nonuniform(values, thetas, s, p):
     t = np.asarray(thetas, dtype=float)
     gaps = np.diff(np.concatenate((t, [t[0] + TWO_PI])))
     w = 0.5 * (gaps + np.roll(gaps, 1))
-    diff = np.abs(v[:, None] - v[None, :])
-    raw = np.abs(t[:, None] - t[None, :])
-    dist = np.minimum(raw, TWO_PI - raw)
-    np.fill_diagonal(dist, 1.0)
-    kern = diff ** p / dist ** (1.0 + s * p)
-    np.fill_diagonal(kern, 0.0)
-    total = float(w @ kern @ w)
-    return total ** (1.0 / p)
+
+    def block(a, b):
+        raw = np.abs(t[a:b, None] - t[None, a:])
+        dist = np.minimum(raw, TWO_PI - raw)
+        np.fill_diagonal(dist, 1.0)
+        kern = np.abs(v[a:b, None] - v[None, a:]) ** p / dist ** (1.0 + s * p)
+        np.fill_diagonal(kern, 0.0)
+        return kern
+
+    return _symmetric_form(w, block) ** (1.0 / p)
 
 
 def gagliardo_even(values, radii, s, p):
@@ -178,6 +208,8 @@ def gagliardo_even(values, radii, s, p):
     Works directly on the half-domain with the reflected kernel
     k(|x-y|) + k(x+y), so nodes can sit arbitrarily deep (e.g. 1e-19)
     without the cancellation a mirrored 2*pi - r node set would suffer.
+    The kernel matrix is summed over its upper block triangle, one row
+    block at a time.
     """
     if not (0.0 < s < 1.0):
         raise IndexOutOfRange(f"Gagliardo index needs 0 < s < 1, got {s}")
@@ -185,16 +217,19 @@ def gagliardo_even(values, radii, s, p):
     r = np.asarray(radii, dtype=float)
     gaps = np.diff(np.concatenate(([0.0], r, [PI])))
     w = 0.5 * (gaps[:-1] + gaps[1:])
-    diff = np.abs(v[:, None] - v[None, :]) ** p
-    direct = np.abs(r[:, None] - r[None, :])
-    np.fill_diagonal(direct, 1.0)
-    kern = 1.0 / direct ** (1.0 + s * p)
-    np.fill_diagonal(kern, 0.0)
-    summed = r[:, None] + r[None, :]
-    arc = np.minimum(summed, TWO_PI - summed)
-    kern += 1.0 / arc ** (1.0 + s * p)
-    total = 2.0 * float(w @ (diff * kern) @ w)
-    return total ** (1.0 / p)
+
+    def block(a, b):
+        direct = np.abs(r[a:b, None] - r[None, a:])
+        np.fill_diagonal(direct, 1.0)
+        kern = 1.0 / direct ** (1.0 + s * p)
+        np.fill_diagonal(kern, 0.0)
+        summed = r[a:b, None] + r[None, a:]
+        arc = np.minimum(summed, TWO_PI - summed)
+        kern += 1.0 / arc ** (1.0 + s * p)
+        kern *= np.abs(v[a:b, None] - v[None, a:]) ** p
+        return kern
+
+    return (2.0 * _symmetric_form(w, block)) ** (1.0 / p)
 
 
 def calibration_ratio(m=8192):

@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import GridMismatch, InvalidProfile, Overcrowded, PoleSingularity
 from .gallery import smoothstep
+from .grid import PI, TWO_PI
 
-PI = np.pi
-TWO_PI = 2.0 * np.pi
 NORTH = np.array([0.0, 0.0, 1.0])
 
 

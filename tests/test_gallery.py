@@ -141,6 +141,30 @@ class TestBumpPairs:
         assert vals[0] > vals[1]
 
 
+    @pytest.mark.parametrize("eps,m", [(1e-2, None), (1e-4, None),
+                                       (1e-3, 4096)])
+    def test_samples_equal_the_profile_phases(self, eps, m):
+        pair = gallery.bump_pair(eps, n_dim=1, m=m)
+        prof = gallery.capacity_profiles(eps)
+        t = grid.nodes(pair.f.m)
+        for got, fn in ((pair.f, prof.F), (pair.g, prof.G)):
+            ref = grid.from_samples(np.exp(1j * gallery._bump_phase_1d(fn, t)))
+            assert np.array_equal(got.samples, ref.samples)
+
+    @pytest.mark.parametrize("eps", [2e-2, 1e-2, 5e-3, 1e-3, 1e-8])
+    def test_profiles_equal_their_definition(self, eps):
+        # F = G on r < eps (the eps-cap); F + G = pi beyond, through H
+        prof = gallery.capacity_profiles(eps)
+        for r in (np.abs(grid.nodes(4096) - PI),
+                  np.geomspace(eps * 1e-3, PI, 1500, endpoint=False),
+                  np.random.default_rng(3).uniform(0, PI, (16, 9))):
+            inner = PI * (1.0 - gallery.cap_k(r / eps)) / 2.0
+            f_ref = np.where(r < eps, inner, PI * (1.0 - prof.H(r) / 2.0))
+            g_ref = np.where(r < eps, f_ref, PI * prof.H(r) / 2.0)
+            assert np.array_equal(prof.F(r), f_ref)
+            assert np.array_equal(prof.G(r), g_ref)
+        assert prof.F(0.5).shape == prof.G(0.0).shape == ()
+
 class TestMultiBumpAndDense:
     def test_multibump_degree(self):
         for d in (1, 4):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremaps import grid
+from spheremaps import gallery, grid
 from spheremaps.errors import GridMismatch, GridTooCoarse
 from spheremaps.grid import TWO_PI
 
@@ -145,6 +145,53 @@ class TestMapAlgebra:
     def test_product_degree_additivity_property(self, d1, d2):
         f = grid.product(grid.power_map(d1, 512), grid.power_map(d2, 512))
         assert grid.degree_winding(f) == d1 + d2
+
+
+def _gallery_map(kind, d, seed, m=4096):
+    """A smooth, kinked or concentrated gallery map of degree about |d|."""
+    if kind == "power":
+        return grid.power_map(d, m)
+    if kind == "random":
+        return gallery.random_map(d, np.random.default_rng(seed), m=m)
+    if kind == "blaschke":
+        return gallery.blaschke_pow(d, 0.1 + 0.1 * (seed % 5), m)
+    if kind == "ramp":
+        return gallery.ramp_map(d, m=m)
+    return gallery.oscillator(d or 1, 3 + seed % 4, m)
+
+
+gallery_maps = st.builds(_gallery_map,
+                         st.sampled_from(("power", "random", "blaschke",
+                                          "ramp", "oscillator")),
+                         st.integers(min_value=-3, max_value=3),
+                         st.integers(min_value=0, max_value=2 ** 16))
+
+
+class TestDegreeAlgebraProperties:
+    @given(gallery_maps, gallery_maps)
+    @settings(max_examples=30)
+    def test_degree_adds_under_product(self, f, g):
+        assert (grid.degree_winding(grid.product(f, g))
+                == grid.degree_winding(f) + grid.degree_winding(g))
+
+    @given(gallery_maps)
+    @settings(max_examples=30)
+    def test_degree_flips_under_conjugate(self, f):
+        assert (grid.degree_winding(grid.conjugate(f))
+                == -grid.degree_winding(f))
+
+    @given(gallery_maps, st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=30)
+    def test_degree_scales_under_power(self, f, k):
+        assert (grid.degree_winding(grid.power(f, k))
+                == k * grid.degree_winding(f))
+
+    @given(gallery_maps)
+    @settings(max_examples=30)
+    def test_three_estimators_agree(self, f):
+        d = grid.degree_winding(f)
+        assert abs(grid.degree_kronecker_s1(f) - d) < 1e-2
+        assert abs(grid.degree_fourier(f) - d) < 1e-2
 
 
 class TestPhaseModelFit:

@@ -1,6 +1,8 @@
 """Tests for the phase-space distance optimizer: ansatz algebra, seeds,
 closed-form targets, and small end-to-end searches."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,10 +112,22 @@ class TestSeedsAndSearch:
             f, 0, SobolevIndex(1.0, 1.0), k=8, budget=300, restarts=0,
             m_obj=2048)
         assert rep.gap < 0.10  # tiny budget; acceptance run uses k=32, budget=2000
+        assert rep.gap_rel == rep.gap / rep.target
         assert rep.value >= rep.target - 1e-9
         assert len(rep.trace) > 0
         assert rep.restarts_used >= 1
 
+
+    def test_gap_is_absolute_and_gap_rel_relative(self):
+        def report(value, target):
+            return optimize.OptimizeReport(
+                value=value, params=np.zeros(2), trace=[], restarts_used=1,
+                target=target, gap=value - target, nfev=0, nit=0)
+
+        rep = report(4.12, 4.0)
+        assert rep.gap == pytest.approx(0.12)
+        assert rep.gap_rel == pytest.approx(0.03)
+        assert math.isnan(report(0.5, 0.0).gap_rel)  # H^{1/2}: target 0
     def test_one_sided_bounded_below_by_class_distance(self):
         f = gallery.build_map("power", d=1)
         rep = optimize.estimate_point_to_class(

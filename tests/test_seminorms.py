@@ -2,6 +2,7 @@
 Gagliardo double sums, and the metric axioms they must satisfy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,123 @@ class TestGagliardo:
             prof.H(rr), rr, 0.5, 2.0)
         assert abs(mirrored - direct) / direct < 0.02
 
+
+
+# -- reference kernels: the per-offset loop and the dense N x N matrices ----
+
+def _loop_gagliardo(v, s, p):
+    """Gagliardo double sum by one np.roll per offset."""
+    m = v.size
+    dtheta = TWO_PI / m
+    k = np.arange(1, m)
+    dist = dtheta * np.minimum(k, m - k)
+    offset_sums = np.empty(m - 1)
+    for i, kk in enumerate(k):
+        offset_sums[i] = np.sum(np.abs(v - np.roll(v, -kk)) ** p)
+    total = np.sum(offset_sums / dist ** (1.0 + s * p)) * dtheta ** 2
+    return total ** (1.0 / p)
+
+
+def _dense_nonuniform(values, thetas, s, p):
+    v = np.asarray(values, dtype=float)
+    t = np.asarray(thetas, dtype=float)
+    gaps = np.diff(np.concatenate((t, [t[0] + TWO_PI])))
+    w = 0.5 * (gaps + np.roll(gaps, 1))
+    diff = np.abs(v[:, None] - v[None, :])
+    raw = np.abs(t[:, None] - t[None, :])
+    dist = np.minimum(raw, TWO_PI - raw)
+    np.fill_diagonal(dist, 1.0)
+    kern = diff ** p / dist ** (1.0 + s * p)
+    np.fill_diagonal(kern, 0.0)
+    return float(w @ kern @ w) ** (1.0 / p)
+
+
+def _dense_even(values, radii, s, p):
+    v = np.asarray(values, dtype=float)
+    r = np.asarray(radii, dtype=float)
+    gaps = np.diff(np.concatenate(([0.0], r, [PI])))
+    w = 0.5 * (gaps[:-1] + gaps[1:])
+    diff = np.abs(v[:, None] - v[None, :]) ** p
+    direct = np.abs(r[:, None] - r[None, :])
+    np.fill_diagonal(direct, 1.0)
+    kern = 1.0 / direct ** (1.0 + s * p)
+    np.fill_diagonal(kern, 0.0)
+    summed = r[:, None] + r[None, :]
+    arc = np.minimum(summed, TWO_PI - summed)
+    kern += 1.0 / arc ** (1.0 + s * p)
+    return (2.0 * float(w @ (diff * kern) @ w)) ** (1.0 / p)
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+def _capacity_nodes(eps, nodes=1500):
+    """The node set and profile of experiment capacity-decay."""
+    prof = gallery.capacity_profiles(eps)
+    rr = np.geomspace(eps * 1e-3, PI, nodes, endpoint=False)
+    return prof.H(rr), rr
+
+
+class TestGagliardoAgainstReference:
+    @pytest.mark.parametrize("m", [16, 1024, 4096])
+    @pytest.mark.parametrize("kind", ["power", "random", "blaschke"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_uniform_matches_offset_loop(self, kind, m, p):
+        f = {"power": lambda: grid.power_map(3, m),
+             "random": lambda: gallery.random_map(
+                 2, np.random.default_rng(m), m=m),
+             "blaschke": lambda: gallery.blaschke_pow(2, 0.1, m)}[kind]()
+        for s in (0.25, 0.5, 0.75):
+            assert _rel(seminorms.gagliardo_seminorm(f, s, p),
+                        _loop_gagliardo(f.samples, s, p)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [17, 33])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_odd_size_arrays_match_offset_loop(self, m, p):
+        rng = np.random.default_rng(m)
+        for v in (rng.standard_normal(m),
+                  rng.standard_normal(m) + 1j * rng.standard_normal(m)):
+            for s in (0.25, 0.5, 0.75):
+                assert _rel(seminorms.gagliardo_seminorm(v, s, p),
+                            _loop_gagliardo(v, s, p)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-10, 1e-16])
+    def test_even_matches_dense_on_capacity_nodes(self, eps):
+        h, rr = _capacity_nodes(eps)
+        assert _rel(seminorms.gagliardo_even(h, rr, 0.5, 2.0),
+                    _dense_even(h, rr, 0.5, 2.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 64, 200])
+    @pytest.mark.parametrize("s,p", [(0.5, 2.0), (0.3, 1.5), (0.75, 3.0)])
+    def test_even_matches_dense_on_small_node_sets(self, n, s, p):
+        # block edges: fewer nodes than a block, exactly one, and a ragged end
+        rng = np.random.default_rng(n)
+        rr = np.sort(rng.uniform(1e-3, PI, n))
+        h = np.cos(rr) + 0.1 * rng.standard_normal(n)
+        assert _rel(seminorms.gagliardo_even(h, rr, s, p),
+                    _dense_even(h, rr, s, p)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [7, 128, 800])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_nonuniform_matches_dense_on_mirrored_nodes(self, n, p):
+        prof = gallery.capacity_profiles(1e-2)
+        rr = np.geomspace(1e-5, PI * 0.999, n)
+        th = np.concatenate([rr, TWO_PI - rr[::-1]])
+        hh = np.concatenate([prof.H(rr), prof.H(rr)[::-1]])
+        assert _rel(seminorms.gagliardo_nonuniform(hh, th, 0.5, p),
+                    _dense_nonuniform(hh, th, 0.5, p)) <= 1e-12
+
+    def test_even_memory_stays_within_a_block(self):
+        # the dense form held about seven 1500 x 1500 float arrays (120 MB)
+        h, rr = _capacity_nodes(1e-2)
+        tracemalloc.start()
+        try:
+            seminorms.gagliardo_even(h, rr, 0.5, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 class TestSupAndDispatch:
     def test_sup_distance_antipodal(self):
