@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from . import experiments, gallery, grid, optimize, seminorms, sphere2
-from .errors import IndexOutOfRange
-from .grid import CircleMap, SobolevIndex
+from .errors import IndexOutOfRange, ParameterError
+from .grid import SobolevIndex
 from .sphere2 import Sphere2Map
 
 
@@ -40,41 +40,34 @@ def _write_table(rows, path=None, sep=","):
     return text
 
 
+def _key_values(items, where):
+    """{key: raw string} from `key=value` items; dashes in keys read as
+    underscores."""
+    out = {}
+    for item in items:
+        key, eq, raw = item.partition("=")
+        if not eq or not key.strip():
+            raise ParameterError(f"bad key=value item '{item}' in '{where}'")
+        out[key.strip().replace("-", "_")] = raw
+    return out
+
+
+def split_spec(spec):
+    """`name:key=value,key=value` -> (name, {key: raw string})."""
+    name, _, blob = spec.partition(":")
+    return name.strip(), _key_values(blob.split(",") if blob else [], spec)
+
+
 def parse_map_spec(spec):
-    """`name:key=value,key=value` with ints, reals, scientific notation;
-    a path ending in .csv loads sampled values (theta, Re f, Im f)."""
+    """A gallery map spec `name:key=value,...`, or a path ending in .csv
+    holding sampled values (theta, Re f, Im f)."""
     if spec.endswith(".csv"):
         data = np.loadtxt(spec, delimiter=",", skiprows=1, ndmin=2)
         samples = data[:, 1] + 1j * data[:, 2]
         samples = samples / np.abs(samples)
         return grid.from_samples(samples)
-    name, _, blob = spec.partition(":")
-    params = {}
-    if blob:
-        for item in blob.split(","):
-            key, _, raw = item.partition("=")
-            if not _ or not key:
-                raise ValueError(f"bad key=value item '{item}' in '{spec}'")
-            try:
-                val = int(raw)
-            except ValueError:
-                val = float(raw)
-            params[key.strip()] = val
-    return gallery.build_map(name.strip(), **params)
-
-
-def parse_pair_spec(spec):
-    name, _, blob = spec.partition(":")
-    params = {}
-    if blob:
-        for item in blob.split(","):
-            key, _, raw = item.partition("=")
-            try:
-                val = int(raw)
-            except ValueError:
-                val = float(raw)
-            params[key.strip()] = val
-    return gallery.build_pair(name.strip(), **params)
+    name, params = split_spec(spec)
+    return gallery.build_map(name, **params)
 
 
 def cmd_degree(args):
@@ -97,26 +90,9 @@ def cmd_degree(args):
     return 0
 
 
-_METHOD_ALIASES = {
-    "w1p": "w1p_quadrature", "gagliardo": "gagliardo_quadrature",
-    "fourier": "fourier_h_half", "sup": "sup_norm",
-}
-
-
-def _applicable_methods(index):
-    if index.s == 1.0:
-        return ["w1p_quadrature", "sup_norm"]
-    methods = ["gagliardo_quadrature", "sup_norm"]
-    if index.s == 0.5 and index.p == 2.0:
-        methods.insert(1, "fourier_h_half")
-    return methods
-
-
 def _norm_rows(f, g, index, method):
-    methods = ([_METHOD_ALIASES.get(method, method)] if method
-               else _applicable_methods(index))
     rows = []
-    for m in methods:
+    for m in seminorms.select_methods(index, method):
         res = seminorms.seminorm(f, index, m, g=g)
         row = {"method": m, "s": index.s, "p": index.p, "value": res.value}
         if m == "fourier_h_half":
@@ -134,7 +110,8 @@ def cmd_seminorm(args):
 
 
 def cmd_pair(args):
-    pair = parse_pair_spec(args.pair)
+    name, params = split_spec(args.pair)
+    pair = gallery.build_pair(name, **params)
     index = SobolevIndex(args.s, args.p)
     if isinstance(pair.f, Sphere2Map):
         if (args.s, args.p) != (1.0, 2.0) or args.method not in (None, "h1"):
@@ -155,28 +132,13 @@ def cmd_pair(args):
 
 def cmd_experiment(args):
     if args.name == "all" and args.param:
-        raise ValueError("--param needs one named experiment, not 'all'")
+        raise ParameterError("--param needs one named experiment, not 'all'")
     names = (list(experiments.REGISTRY) if args.name == "all"
              else [args.name])
-    overrides = {}
-    for item in args.param or []:
-        key, _, raw = item.partition("=")
-        if "," not in raw:
-            try:
-                raw = int(raw)
-            except ValueError:
-                try:
-                    raw = float(raw)
-                except ValueError:
-                    pass
-        overrides[key.replace("-", "_")] = raw
+    params = _key_values(args.param or [], "--param")
     all_ok = True
     for name in names:
-        try:
-            result = experiments.run_experiment(name, **overrides)
-        except KeyError as exc:
-            sys.stderr.write(f"error: {exc.args[0]}\n")
-            return 2
+        result = experiments.run_experiment(name, **params)
         text = _write_table(
             result.rows,
             args.output if len(names) == 1 else
@@ -206,25 +168,11 @@ _SWEEPS = {
 
 def cmd_sweep(args):
     if args.name not in _SWEEPS:
-        sys.stderr.write(f"error: unknown sweep '{args.name}'; known: "
-                         f"{', '.join(sorted(_SWEEPS))}\n")
-        return 2
-    overrides = {}
-    if args.d is not None:
-        overrides["d"] = args.d
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.eps is not None:
-        overrides["eps"] = args.eps
-    if args.s is not None:
-        overrides["s"] = args.s
-    if args.p is not None:
-        overrides["p"] = args.p
-    try:
-        result = experiments.run_experiment(_SWEEPS[args.name], **overrides)
-    except KeyError as exc:
-        sys.stderr.write(f"error: {exc.args[0]}\n")
-        return 2
+        raise KeyError(f"unknown sweep '{args.name}'; known: "
+                       f"{', '.join(sorted(_SWEEPS))}")
+    params = {key: getattr(args, key) for key in ("d", "n", "eps", "s", "p")
+              if getattr(args, key) is not None}
+    result = experiments.run_experiment(_SWEEPS[args.name], **params)
     sys.stdout.write(_write_table(result.rows, args.output, args.sep))
     return 0
 
@@ -301,8 +249,8 @@ def build_parser():
     p.add_argument("--d")
     p.add_argument("--n")
     p.add_argument("--eps")
-    p.add_argument("--s", type=float)
-    p.add_argument("--p", type=float)
+    p.add_argument("--s")
+    p.add_argument("--p")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -331,7 +279,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # str() of a KeyError quotes its message
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        sys.stderr.write(f"error: {msg}\n")
         return 2
 
 

@@ -29,6 +29,10 @@ class IndexOutOfRange(ValueError):
     """A Sobolev index (s, p) is outside the supported range."""
 
 
+class ParameterError(ValueError):
+    """A named parameter is unknown, missing, not a number, or not integral."""
+
+
 class Overcrowded(ValueError):
     """Requested bumps do not fit disjointly in the available region."""
 

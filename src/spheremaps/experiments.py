@@ -1,8 +1,9 @@
 """Named reproduction experiments with embedded expected values.
 
-Each experiment states the claim it checks, carries default parameters,
-and returns tabular rows plus a pass/fail verdict, so the CLI and the test
-suite share one source of truth.
+Each experiment states the claim it checks and returns tabular rows plus a
+pass/fail verdict, so the CLI and the test suite share one source of truth.
+Its runner's keyword defaults are its parameter table (see params.coerce):
+a tuple default takes a comma list.
 """
 
 import math
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gallery, grid, optimize, seminorms, sphere2
+from . import gallery, grid, optimize, params, seminorms, sphere2
 from .grid import PI, TWO_PI, SobolevIndex
 
 
@@ -26,37 +27,14 @@ class ExperimentResult:
 class Experiment:
     name: str
     claim: str
-    defaults: dict
-    runner: object
+    runner: object  # takes keyword-only parameters, each with a default
     slow: bool = False
-
-    def run(self, **overrides):
-        params = dict(self.defaults)
-        unknown = set(overrides) - set(params)
-        if unknown:
-            raise KeyError(f"unknown parameters for {self.name}: "
-                           f"{sorted(unknown)}")
-        params.update(overrides)
-        rows, passed, summary = self.runner(**params)
-        return ExperimentResult(self.name, rows, passed, summary)
-
-
-def _parse_floats(value):
-    if isinstance(value, str):
-        return [float(x) for x in value.split(",")]
-    return [float(x) for x in np.atleast_1d(value)]
-
-
-def _parse_ints(value):
-    if isinstance(value, str):
-        return [int(x) for x in value.split(",")]
-    return [int(x) for x in np.atleast_1d(value)]
 
 
 # --- S^1 distance formulas ------------------------------------------------
 
-def _run_w11_zigzag(d1, d2):
-    pair = gallery.zigzag_pair(int(d1), int(d2))
+def _run_w11_zigzag(*, d1=1, d2=0):
+    pair = gallery.zigzag_pair(d1, d2)
     value = seminorms.w1p_distance(pair.f, pair.g, 1.0)
     expected = 4.0 * abs(d1 - d2)
     err = abs(value - expected) / expected
@@ -66,12 +44,12 @@ def _run_w11_zigzag(d1, d2):
     return [row], ok, f"zigzag W11 distance {value:.6f} vs {expected}"
 
 
-def _run_w1p_formula(p="1,2", d2=1, budget=2000, k=32, seed=0):
+def _run_w1p_formula(*, p=(1.0, 2.0), d2=1, budget=2000, k=32, seed=0):
     rows, ok = [], True
-    for pv in _parse_floats(p):
+    for pv in p:
         rep = optimize.estimate_inf_distance(
-            grid.power_map(0), int(d2), SobolevIndex(1.0, pv),
-            k=int(k), budget=int(budget), seed=int(seed))
+            grid.power_map(0), d2, SobolevIndex(1.0, pv),
+            k=k, budget=budget, seed=seed)
         rel = rep.gap_rel
         good = abs(rel) < 0.03
         ok = ok and good
@@ -80,10 +58,10 @@ def _run_w1p_formula(p="1,2", d2=1, budget=2000, k=32, seed=0):
     return rows, ok, "class-distance optimizer vs 2^{1/p+1} pi^{1/p-1}"
 
 
-def _run_dist_w11_hausdorff(d="1,2,3", lam="0.1,0.01"):
+def _run_dist_w11_hausdorff(*, d=(1, 2, 3), lam=(0.1, 0.01)):
     rows, ok = [], True
-    for dv in _parse_ints(d):
-        for lv in _parse_floats(lam):
+    for dv in d:
+        for lv in lam:
             f = gallery.ramp_map(dv)  # constant near 0, as deflation needs
             g = gallery.deflate_phase(f, dv, lv)
             value = seminorms.w1p_distance(f, g, 1.0)
@@ -96,19 +74,18 @@ def _run_dist_w11_hausdorff(d="1,2,3", lam="0.1,0.01"):
     return rows, ok, "phase-deflation upper bound 2 pi |d|"
 
 
-def _run_h_half_blaschke(d=2, delta="1e-1,1e-2,1e-3"):
+def _run_h_half_blaschke(*, d=2, delta=(1e-1, 1e-2, 1e-3)):
     """|f h_delta - f|^2 equals |h_delta|^2 + o(1) = 4 pi^2 |d| + o(1); the
     multiplier's own squared norm is exactly 4 pi^2 |d| at every delta.  The
     measured approach is from below, so the o(1) term is tracked as an
     absolute deviation."""
-    dv = int(d)
-    limit = 4.0 * PI ** 2 * abs(dv)
+    limit = 4.0 * PI ** 2 * abs(d)
     rows, devs, ok = [], [], True
-    for dl in _parse_floats(delta):
+    for dl in delta:
         m = max(grid.default_m(),
                 1 << int(math.ceil(math.log2(2000.0 / dl))))
-        f = grid.power_map(dv, m)
-        h = gallery.blaschke_pow(dv, dl, m)
+        f = grid.power_map(d, m)
+        h = gallery.blaschke_pow(d, dl, m)
         h_norm_sq = seminorms.h_half_seminorm_sq(h)
         value_sq = seminorms.h_half_seminorm_sq(
             grid.product(f, h).samples - f.samples)
@@ -127,11 +104,11 @@ def _run_h_half_blaschke(d=2, delta="1e-1,1e-2,1e-3"):
 
 # --- critical-norm families -----------------------------------------------
 
-def _run_eps_bump_critical(eps="1e-2,1e-3,1e-4", n_dim=1):
+def _run_eps_bump_critical(*, eps=(1e-2, 1e-3, 1e-4), n_dim=1):
     rows, vals = [], []
-    for ev in _parse_floats(eps):
-        pair = gallery.bump_pair(ev, n_dim=int(n_dim))
-        if int(n_dim) == 1:
+    for ev in eps:
+        pair = gallery.bump_pair(ev, n_dim=n_dim)
+        if n_dim == 1:
             value = math.sqrt(seminorms.h_half_seminorm_sq(
                 pair.f.samples - pair.g.samples))
         else:
@@ -144,27 +121,24 @@ def _run_eps_bump_critical(eps="1e-2,1e-3,1e-4", n_dim=1):
     return rows, ok, "critical norm of the bump pair decreasing in eps"
 
 
-def _run_capacity_decay(eps="1e-2,1e-4,1e-6", eps_extended="1e-10,1e-16",
-                        nodes=1500):
+def _run_capacity_decay(*, eps=(1e-2, 1e-4, 1e-6),
+                        eps_extended=(1e-10, 1e-16), nodes=1500):
     """The log-log cutoff's (1/2, 2) Gagliardo norm decays like
     C/sqrt(ln(1/eps)); strictly decreasing on the base sweep, and the
     extended sweep shows the halving that the slow logarithmic rate only
     reaches near eps ~ 1e-16."""
-    base = _parse_floats(eps)
-    ext = _parse_floats(eps_extended) if eps_extended else []
     rows, vals = [], []
-    for ev in base + ext:
+    for ev in eps + eps_extended:
         prof = gallery.capacity_profiles(ev)
-        rr = np.geomspace(ev * 1e-3, PI, int(nodes), endpoint=False)
+        rr = np.geomspace(ev * 1e-3, PI, nodes, endpoint=False)
         value = seminorms.gagliardo_even(prof.H(rr), rr, 0.5, 2.0)
         vals.append(value)
         rows.append({"eps": ev, "log_inv_eps": math.log(1.0 / ev),
                      "value": value, "value_sq_times_log":
                          value ** 2 * math.log(1.0 / ev)})
-    n = len(base)
+    n = len(eps)
     decreasing = all(a > b for a, b in zip(vals, vals[1:]))
-    halved = (vals[-1] < 0.5 * vals[0]) if ext else True
-    ok = decreasing and halved
+    ok = decreasing and vals[-1] < 0.5 * vals[0]
     for r, v in zip(rows, vals):
         r["ratio_to_first"] = v / vals[0]
         r["pass"] = ok
@@ -176,10 +150,10 @@ def _run_capacity_decay(eps="1e-2,1e-4,1e-6", eps_extended="1e-10,1e-16",
 
 # --- S^2 --------------------------------------------------------------------
 
-def _run_s2_energy(d="1,2", n_phi=128):
+def _run_s2_energy(*, d=(1, 2), n_phi=128):
     rows, ok = [], True
-    for dv in _parse_ints(d):
-        f = sphere2.stereographic_power(dv, n_phi=int(n_phi))
+    for dv in d:
+        f = sphere2.stereographic_power(dv, n_phi=n_phi)
         deg = sphere2.degree_kronecker_s2(f)
         en = sphere2.dirichlet_energy(f)
         expected = 8.0 * PI * abs(dv)
@@ -190,11 +164,10 @@ def _run_s2_energy(d="1,2", n_phi=128):
     return rows, ok, "stereographic power: degree d, energy 8 pi |d|"
 
 
-def _run_s2_vo1(d_list="3,7", n_phi=256):
-    ds = _parse_ints(d_list)
+def _run_s2_vo1(*, d_list=(3, 7), n_phi=256):
     rows, fields, h1s = [], [], []
-    for dv in ds:
-        pair = sphere2.vo1_pair(dv, 0, n_phi=int(n_phi))
+    for dv in d_list:
+        pair = sphere2.vo1_pair(dv, 0, n_phi=n_phi)
         pf, pg = pair.f, pair.g
         fields.append(pf.values - pg.values)
         h1s.append(sphere2.h1_distance(pf, pg))
@@ -210,11 +183,11 @@ def _run_s2_vo1(d_list="3,7", n_phi=256):
 
 # --- attainment and lower bounds -------------------------------------------
 
-def _run_attainment(p="1,1.5,2", d1=1, budget=2000, k=32, seed=0):
+def _run_attainment(*, p=(1.0, 1.5, 2.0), d1=1, budget=2000, k=32, seed=0):
     rows, ok = [], True
-    for pv in _parse_floats(p):
-        probe = optimize.attainment_probe(int(d1), pv, budget=int(budget),
-                                          k=int(k), seed=int(seed))
+    for pv in p:
+        probe = optimize.attainment_probe(d1, pv, budget=budget, k=k,
+                                          seed=seed)
         row = {"p": pv, "value": probe["value"], "target": probe["target"]}
         if pv <= 1.0:
             good = abs(probe["value"] - probe["target"]) < 1e-3
@@ -237,13 +210,13 @@ def _run_attainment(p="1,1.5,2", d1=1, budget=2000, k=32, seed=0):
     return rows, ok, "attainment trichotomy across p"
 
 
-def _run_oscillator_lb(n="6,10,16", budget=2000, k=32, seed=0):
+def _run_oscillator_lb(*, n=(6, 10, 16), budget=2000, k=32, seed=0):
     rows, vals = [], []
-    for nv in _parse_ints(n):
+    for nv in n:
         f = gallery.oscillator(1, nv)
         rep = optimize.estimate_point_to_class(
-            f, 0, SobolevIndex(1.0, 1.0), k=int(k), budget=int(budget),
-            restarts=6, seed=int(seed), m_obj=8192)
+            f, 0, SobolevIndex(1.0, 1.0), k=k, budget=budget,
+            restarts=6, seed=seed, m_obj=8192)
         vals.append(rep.value)
         rows.append({"n": nv, "value": rep.value, "two_pi": TWO_PI})
     ok = (all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
@@ -255,11 +228,10 @@ def _run_oscillator_lb(n="6,10,16", budget=2000, k=32, seed=0):
 
 # --- scaling sweeps ---------------------------------------------------------
 
-def _run_multibump_scaling(d="1,2,4,8", n=32):
-    ds = _parse_ints(d)
+def _run_multibump_scaling(*, d=(1, 2, 4, 8), n=32):
     rows, slopes = [], []
-    for dv in ds:
-        h = gallery.multi_bump(dv, 1, n=int(n))
+    for dv in d:
+        h = gallery.multi_bump(dv, 1, n=n)
         val = seminorms.h_half_seminorm_sq(h)
         slopes.append(val / dv)
         rows.append({"d": dv, "value_sq": val, "per_degree": val / dv})
@@ -271,11 +243,9 @@ def _run_multibump_scaling(d="1,2,4,8", n=32):
     return rows, ok, f"squared critical norm linear in d (ratio {ratio:.3f})"
 
 
-def _run_product_shift_scaling(d="1,2,4,8", s=1.0, p=1.0):
-    ds = _parse_ints(d)
-    s, p = float(s), float(p)
+def _run_product_shift_scaling(*, d=(1, 2, 4, 8), s=1.0, p=1.0):
     rows, per = [], []
-    for dv in ds:
+    for dv in d:
         pair = gallery.product_shift(dv, 0)
         if s == 1.0:
             val = seminorms.w1p_distance(pair.f, pair.g, p)
@@ -294,9 +264,9 @@ def _run_product_shift_scaling(d="1,2,4,8", s=1.0, p=1.0):
     return rows, ok, f"product-shift distance scaling (ratio {ratio:.3f})"
 
 
-def _run_degree_stability(eps="1e-2,1e-3,1e-4"):
+def _run_degree_stability(*, eps=(1e-2, 1e-3, 1e-4)):
     rows, vals, ok = [], [], True
-    for ev in _parse_floats(eps):
+    for ev in eps:
         pair = gallery.bump_pair(ev, n_dim=1)
         df = grid.degree_winding(pair.f)
         dg = grid.degree_winding(pair.g)
@@ -319,59 +289,55 @@ REGISTRY = {
         Experiment(
             "w11-zigzag",
             "zigzag pair realizes the W^{1,1} class distance 4|d1-d2|",
-            {"d1": 1, "d2": 0}, _run_w11_zigzag),
+            _run_w11_zigzag),
         Experiment(
             "w1p-formula",
             "optimizer reproduces 2^{1/p+1} pi^{1/p-1} |d1-d2| within 3%",
-            {"p": "1,2", "d2": 1, "budget": 2000, "k": 32, "seed": 0},
             _run_w1p_formula, slow=True),
         Experiment(
             "dist-w11-hausdorff",
             "phase deflation realizes the one-sided bound 2 pi |d|",
-            {"d": "1,2,3", "lam": "0.1,0.01"}, _run_dist_w11_hausdorff),
+            _run_dist_w11_hausdorff),
         Experiment(
             "h-half-blaschke",
             "Blaschke multipliers approach the H^{1/2} floor 4 pi^2 |d|",
-            {"d": 2, "delta": "1e-1,1e-2,1e-3"}, _run_h_half_blaschke),
+            _run_h_half_blaschke),
         Experiment(
             "eps-bump-critical",
             "bump-pair critical distance strictly decreasing in eps",
-            {"eps": "1e-2,1e-3,1e-4", "n_dim": 1}, _run_eps_bump_critical),
+            _run_eps_bump_critical),
         Experiment(
             "capacity-decay",
             "log-log cutoff norm decays like C/sqrt(log(1/eps))",
-            {"eps": "1e-2,1e-4,1e-6", "eps_extended": "1e-10,1e-16",
-             "nodes": 1500}, _run_capacity_decay),
+            _run_capacity_decay),
         Experiment(
             "s2-energy",
             "stereographic powers: degree d, Dirichlet energy 8 pi |d|",
-            {"d": "1,2", "n_phi": 128}, _run_s2_energy),
+            _run_s2_energy),
         Experiment(
             "s2-vo1",
             "equator-insertion pair difference independent of degree",
-            {"d_list": "3,7", "n_phi": 256}, _run_s2_vo1),
+            _run_s2_vo1),
         Experiment(
             "attainment",
             "attained at p<=1 and 1<p<2; concentrating for p>=2",
-            {"p": "1,1.5,2", "d1": 1, "budget": 2000, "k": 32, "seed": 0},
             _run_attainment, slow=True),
         Experiment(
             "oscillator-lb",
             "fast-oscillating maps push one-sided distances toward 2 pi",
-            {"n": "6,10,16", "budget": 2000, "k": 32, "seed": 0},
             _run_oscillator_lb, slow=True),
         Experiment(
             "multibump-scaling",
             "squared critical norm of multi-bump maps linear in degree",
-            {"d": "1,2,4,8", "n": 32}, _run_multibump_scaling),
+            _run_multibump_scaling),
         Experiment(
             "product-shift-scaling",
             "product-shift pair distance linear in the winding gap",
-            {"d": "1,2,4,8", "s": 1.0, "p": 1.0}, _run_product_shift_scaling),
+            _run_product_shift_scaling),
         Experiment(
             "degree-stability",
             "no false degree merging along the bump-pair family",
-            {"eps": "1e-2,1e-3,1e-4"}, _run_degree_stability),
+            _run_degree_stability),
     ]
 }
 
@@ -380,13 +346,7 @@ def run_experiment(name, **overrides):
     if name not in REGISTRY:
         raise KeyError(f"unknown experiment '{name}'; known: "
                        f"{', '.join(sorted(REGISTRY))}")
-    return REGISTRY[name].run(**overrides)
-
-
-def run_all(include_slow=True):
-    results = []
-    for name in REGISTRY:
-        if not include_slow and REGISTRY[name].slow:
-            continue
-        results.append(run_experiment(name))
-    return results
+    runner = REGISTRY[name].runner
+    rows, passed, summary = runner(**params.coerce(
+        runner.__kwdefaults__, overrides, f"experiment '{name}'"))
+    return ExperimentResult(name, rows, passed, summary)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid
+from . import grid, params, seminorms, sphere2
 from .errors import IndexOutOfRange, NotLocallyConstant, Overcrowded
 from .grid import PI, TWO_PI, CircleMap, phase_model
 
@@ -245,15 +245,12 @@ def blaschke_pow(d, delta, m=None):
 class CapacityProfiles:
     """Radial profiles driving the critical-norm bump constructions.
 
-    K: smooth cap (1 below 1/4, 0 above 3/4); H: log-log cutoff equal to 1
-    on r <= eps and 0 on r >= sqrt(eps); F, G: bump phases with F = G on
-    r < eps and F + G = pi on r >= eps.
+    H: log-log cutoff equal to 1 on r <= eps and 0 on r >= sqrt(eps), built
+    on the smooth cap cap_k; F, G: bump phases with F = G on r < eps and
+    F + G = pi on r >= eps.
     """
 
     eps: float
-
-    def K(self, t):
-        return cap_k(t)
 
     def H(self, r):
         r = np.asarray(r, dtype=float)
@@ -315,8 +312,6 @@ def bump_pair(eps, n_dim=1, m=None, n_phi=None):
                 for prof_r in prof.profiles(r))
         return GalleryPair(f, g, {"eps": eps, "n_dim": 1}, "critical_bump")
     if n_dim == 2:
-        from . import sphere2
-
         return sphere2.bump_pair_s2(prof, n_phi=n_phi)
     raise ValueError("n_dim must be 1 or 2")
 
@@ -335,8 +330,6 @@ def multi_bump(d, n_dim=1, n=32, m=None, n_phi=None):
     if d == 0:
         raise ValueError("need d != 0")
     if n_dim == 2:
-        from . import sphere2
-
         return sphere2.multi_bump_s2(d, n, n_phi=n_phi)
     if n_dim != 1:
         raise ValueError("n_dim must be 1 or 2")
@@ -462,8 +455,6 @@ def attainability_witnesses(d1, d2, m=None):
     the sign condition d1 * (f wedge f') >= 0 holds, and the measured plateau
     pair distance (should equal 2*pi*(d2-d1) for 0 < d1 < d2).
     """
-    from . import seminorms
-
     f = grid.power_map(d1, m)
     w = wedge_density(f)
     pair = plateau_pair(d1, d2, m=m) if 0 < d1 < d2 else None
@@ -504,52 +495,54 @@ def random_map(d, rng, kmax=8, amp=0.5, m=None):
     return grid.from_phase(phase_model(phi, dphi, winding=d), m)
 
 
+# name -> (builder, parameter table for params.coerce); the table keys are
+# the spec keys, passed to the builder by keyword
+MAPS = {
+    "power": (grid.power_map, {"d": int, "m": None}),
+    "blaschke": (blaschke_pow, {"d": int, "delta": float, "m": None}),
+    "oscillator": (oscillator, {"d1": int, "n": int, "m": None}),
+    "multibump": (
+        lambda d, ndim, n, nphi, m: multi_bump(d, ndim, n, m, nphi),
+        {"d": int, "ndim": 1, "n": 32, "nphi": None, "m": None}),
+    "denseonto": (dense_onto, {"d1": int, "n": int, "m": None}),
+    "ramp": (ramp_map, {"d": int, "gap": 0.5, "m": None}),
+    "deflate": (
+        lambda d1, d, gap, lam, m: deflate_phase(ramp_map(d1, gap, m), d, lam),
+        {"d1": int, "d": int, "gap": 0.5, "lam": 0.1, "m": None}),
+    "suspension": (
+        lambda k, dh, nphi: sphere2.suspension(
+            sphere2.default_suspension(k, dh), n_phi=nphi),
+        {"k": 1, "dh": 1, "nphi": None}),
+    "stereo": (lambda d, nphi: sphere2.stereographic_power(d, n_phi=nphi),
+               {"d": int, "nphi": None}),
+}
+
+PAIRS = {
+    "zigzag": (zigzag_pair, {"d1": int, "d2": int, "m": None}),
+    "attainment": (attainment_pair, {"d1": int, "p": 1.5, "m": None}),
+    "bump": (lambda eps, ndim, m: bump_pair(eps, ndim, m),
+             {"eps": float, "ndim": 1, "m": None}),
+    "productshift": (product_shift, {"d1": int, "d2": int, "m": None}),
+    "plateau": (plateau_pair, {"d1": int, "d2": int, "m": None}),
+    "vo1": (lambda d1, d2, nphi: sphere2.vo1_pair(d1, d2, n_phi=nphi),
+            {"d1": int, "d2": int, "nphi": None}),
+}
+
+
+def _build(registry, kind, name, m, kw):
+    if name not in registry:
+        raise KeyError(f"unknown {kind} name '{name}'; known: "
+                       f"{', '.join(registry)}")
+    builder, table = registry[name]
+    raw = kw if m is None else dict(kw, m=m)
+    return builder(**params.coerce(table, raw, f"{kind} '{name}'"))
+
+
 def build_map(name, m=None, **kw):
     """Gallery registry for single maps, addressable by name + parameters."""
-    from . import sphere2
-
-    k = {key: val for key, val in kw.items()}
-    if name == "power":
-        return grid.power_map(int(k["d"]), m)
-    if name == "blaschke":
-        return blaschke_pow(int(k["d"]), float(k["delta"]), m)
-    if name == "oscillator":
-        return oscillator(int(k["d1"]), int(k["n"]), m)
-    if name == "multibump":
-        return multi_bump(int(k["d"]), int(k.get("ndim", 1)), int(k.get("n", 32)), m)
-    if name == "denseonto":
-        return dense_onto(int(k["d1"]), int(k["n"]), m)
-    if name == "ramp":
-        return ramp_map(int(k["d"]), float(k.get("gap", 0.5)), m)
-    if name == "deflate":
-        f = ramp_map(int(k["d1"]), float(k.get("gap", 0.5)), m)
-        return deflate_phase(f, int(k["d"]), float(k.get("lam", 0.1)))
-    if name == "suspension":
-        return sphere2.suspension(sphere2.default_suspension(
-            int(k.get("k", 1)), int(k.get("dh", 1)),
-            n_phi=int(k["nphi"]) if "nphi" in k else None))
-    if name == "stereo":
-        return sphere2.stereographic_power(int(k["d"]),
-                                           n_phi=int(k["nphi"]) if "nphi" in k else None)
-    raise KeyError(f"unknown map name {name!r}")
+    return _build(MAPS, "map", name, m, kw)
 
 
 def build_pair(name, m=None, **kw):
     """Gallery registry for pairs."""
-    k = dict(kw)
-    if name == "zigzag":
-        return zigzag_pair(int(k["d1"]), int(k["d2"]), m)
-    if name == "attainment":
-        return attainment_pair(int(k["d1"]), float(k.get("p", 1.5)), m)
-    if name == "bump":
-        return bump_pair(float(k["eps"]), int(k.get("ndim", 1)), m)
-    if name == "productshift":
-        return product_shift(int(k["d1"]), int(k["d2"]), m)
-    if name == "plateau":
-        return plateau_pair(int(k["d1"]), int(k["d2"]), m=m)
-    if name == "vo1":
-        from . import sphere2
-
-        return sphere2.vo1_pair(int(k["d1"]), int(k["d2"]),
-                                n_phi=int(k["nphi"]) if "nphi" in k else None)
-    raise KeyError(f"unknown pair name {name!r}")
+    return _build(PAIRS, "pair", name, m, kw)

@@ -258,13 +258,26 @@ def power(f, k):
     return CircleMap(s / np.abs(s), phase=pm)
 
 
-def phase_model_from_map(f, tail_tol=1e-3):
+def require_smooth(values):
+    """Raise MissingDerivative unless periodic samples resolve a smooth
+    function: at most 1e-3 of their derivative spectrum's energy may lie
+    above |n| = M/4."""
+    m = values.size
+    n = fourier_modes(m)
+    energy = (np.abs(n) * np.abs(np.fft.fft(values) / m)) ** 2
+    total = np.sum(energy)
+    if total > 1e-20 and np.sum(energy[np.abs(n) > m // 4]) / total > 1e-3:
+        raise MissingDerivative(
+            "samples look non-smooth on this grid (their spectrum does not "
+            "decay); supply analytic derivatives")
+
+
+def phase_model_from_map(f):
     """Fit a periodic cubic-spline phase model to a smooth sampled map.
 
     The lifted phase is split into its winding part d*theta and a periodic
-    remainder, which is splined.  When the remainder's derivative spectrum
-    does not decay (top-octave energy fraction above tail_tol) the map is not
-    resolved as a smooth function and MissingDerivative is raised: supply the
+    remainder, which is splined.  When the remainder is not resolved as a
+    smooth function (require_smooth) MissingDerivative is raised: supply the
     analytic phase instead.
     """
     from scipy.interpolate import CubicSpline
@@ -273,15 +286,7 @@ def phase_model_from_map(f, tail_tol=1e-3):
     d = ph.winding
     t = f.theta
     periodic = ph.values - d * t
-    coef = np.fft.fft(periodic) / f.m
-    n = fourier_modes(f.m)
-    energy = (np.abs(n) * np.abs(coef)) ** 2  # derivative spectrum
-    total = np.sum(energy)
-    if total > 1e-20:
-        top = np.sum(energy[np.abs(n) > f.m // 4])
-        if top / total > tail_tol:
-            raise MissingDerivative(
-                "phase spectrum does not decay; supply analytic derivatives")
+    require_smooth(periodic)
     ts = np.concatenate((t, [TWO_PI]))
     ys = np.concatenate((periodic, [periodic[0]]))
     sp = CubicSpline(ts, ys, bc_type="periodic")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gallery, grid, seminorms
-from .errors import GridTooCoarse, IndexOutOfRange
+from .errors import GridTooCoarse, IndexOutOfRange, ParameterError
 from .grid import PI, TWO_PI, SobolevIndex
 
 
@@ -161,6 +161,22 @@ def w1p_formula(p, d1, d2):
     return 2.0 ** (1.0 / p + 1.0) * PI ** (1.0 / p - 1.0) * abs(d1 - d2)
 
 
+def _lorentzian_climb(t, centers, eta, total):
+    """A phase climbing total over the circle at the Lorentzian rate
+    sum_c eta / (x_c^2 + eta^2), x_c the wrapped offset of t from c: the
+    rate integrated by the trapezoid rule on the uniform nodes t, from 0 at
+    t = 0."""
+    m = t.size
+    rate = np.zeros(m)
+    for c in centers:
+        x = np.angle(np.exp(1j * (t - c)))
+        rate += eta / (x ** 2 + eta ** 2)
+    out = np.zeros(m)
+    out[1:] = np.cumsum(0.5 * (rate[1:] + rate[:-1])) * (TWO_PI / m)
+    out *= total / (out[-1] + 0.5 * (rate[0] + rate[-1]) * (TWO_PI / m))
+    return out
+
+
 def minimizing_pair_phases(d1, d2, mu=0.05, eta=0.1, m=4096):
     """Sampled phases of a near-minimizing W^{1,p} pair in classes (d1, d2).
 
@@ -181,13 +197,8 @@ def minimizing_pair_phases(d1, d2, mu=0.05, eta=0.1, m=4096):
     diff = _smooth_periodic(diff, d, mu)
     mean = np.zeros(m)
     if d1 + d2 != 0:
-        rate = np.zeros(m)
-        for j in range(abs(d)):
-            x = np.angle(np.exp(1j * (t - TWO_PI * j / abs(d))))
-            rate += eta / (x ** 2 + eta ** 2)
-        mean[1:] = np.cumsum(0.5 * (rate[1:] + rate[:-1])) * (TWO_PI / m)
-        total = mean[-1] + 0.5 * (rate[0] + rate[-1]) * (TWO_PI / m)
-        mean *= PI * (d1 + d2) / total
+        centers = [TWO_PI * j / abs(d) for j in range(abs(d))]
+        mean = _lorentzian_climb(t, centers, eta, PI * (d1 + d2))
     return mean + 0.5 * diff, mean - 0.5 * diff
 
 
@@ -310,15 +321,14 @@ def _one_sided_seeds(d1, d2, k, m=4096):
         seeds.append(_project_phase(prof, 0, k))
     # Lorentzian-rate unwinding (cheap tails), centered anywhere
     for eta in (3.2 / k, 6.4 / k):
-        rate = eta / (np.angle(np.exp(1j * (t - PI))) ** 2 + eta ** 2)
-        c = np.zeros(m)
-        c[1:] = np.cumsum(0.5 * (rate[1:] + rate[:-1])) * (TWO_PI / m)
-        c *= TWO_PI / (c[-1] + 0.5 * (rate[0] + rate[-1]) * TWO_PI / m)
+        c = _lorentzian_climb(t, [PI], eta, TWO_PI)
         seeds.append(_project_phase((d2 - d1) * (c - t), 0, k))
     return seeds
 
 
 def _search(obj, x_seeds, budget, restarts, seed, target):
+    if budget < 1:
+        raise ParameterError(f"budget must be at least 1, got {budget}")
     runs = []
     n_runs = max(restarts, len(x_seeds))
     for r in range(n_runs):
@@ -338,25 +348,11 @@ def _search(obj, x_seeds, budget, restarts, seed, target):
                           budget_exhausted=not best.success)
 
 
-def _pad_params(x, k):
-    """Zero-pad a two-block parameter vector to a larger mode count K."""
-    old_k = (x.size // 2 - 2) // 2
-    out = []
-    for h in (x[: x.size // 2], x[x.size // 2:]):
-        y = np.zeros(2 * k + 2)
-        y[:2] = h[:2]
-        y[2:2 + old_k] = h[2:2 + old_k]
-        y[2 + k:2 + k + old_k] = h[2 + old_k:]
-        out.append(y)
-    return np.concatenate(out)
-
-
 def estimate_inf_distance(f, d2, index, k=32, budget=2000, restarts=8,
-                          seed=0, m_obj=4096, warm_start=None):
+                          seed=0, m_obj=4096):
     """Two-sided estimate of the class distance from deg(f)'s class to the
     degree-d2 class.  f supplies the starting class d1 and one projection
-    seed; both endpoints move during the search.  warm_start accepts a
-    previous report's params (possibly with fewer modes)."""
+    seed; both endpoints move during the search."""
     d1 = grid.degree_winding(f)
     ans_f = PhaseAnsatz(d1, k)
     ans_g = PhaseAnsatz(d2, k)
@@ -364,8 +360,6 @@ def estimate_inf_distance(f, d2, index, k=32, budget=2000, restarts=8,
     x_seeds = [np.concatenate(s) for s in _pair_seeds(d1, d2, index, k)]
     x_seeds.append(np.concatenate([
         _project_phase(grid.lift(f).values, d1, k), x_seeds[0][ans_f.dim:]]))
-    if warm_start is not None:
-        x_seeds.insert(0, _pad_params(np.asarray(warm_start, float), k))
     target = w1p_formula(index.p, d1, d2) if index.s == 1.0 else 0.0
     return _search(obj, x_seeds, budget, restarts, seed, target)
 

@@ -8,12 +8,13 @@ Grid rows sit at cell-center colatitudes; each cell's area is exact
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidProfile, Overcrowded, PoleSingularity
-from .gallery import smoothstep
+from .errors import (GridMismatch, GridTooCoarse, InvalidProfile, Overcrowded,
+                     PoleSingularity)
+from . import gallery
 from .grid import PI, TWO_PI
 
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -181,14 +182,13 @@ class SuspensionSpec:
     h_degree: int
     center: np.ndarray = None
     R: float = 0.9
-    h: Optional[Callable] = None  # optional explicit S^1 map of the angle
 
 
 def default_profile(k, R):
-    return lambda r: k * PI * smoothstep(np.asarray(r, float) / R)
+    return lambda r: k * PI * gallery.smoothstep(np.asarray(r, float) / R)
 
 
-def default_suspension(k, dh, R=0.9, center=None, n_phi=None):
+def default_suspension(k, dh, R=0.9, center=None):
     return SuspensionSpec(default_profile(k, R), int(k), int(dh),
                           center=center, R=R)
 
@@ -210,10 +210,7 @@ def _suspension_values(spec, points):
     r = np.arccos(dots)
     alpha = np.arctan2(points @ e2, points @ e1)
     fr = spec.F(np.minimum(r, spec.R))
-    if spec.h is not None:
-        w = spec.h(alpha)
-    else:
-        w = np.exp(1j * spec.h_degree * alpha)
+    w = np.exp(1j * spec.h_degree * alpha)
     out = np.stack([np.sin(fr) * w.real, np.sin(fr) * w.imag, np.cos(fr)],
                    axis=-1)
     outside = r >= spec.R
@@ -270,7 +267,7 @@ def _insert_bump(values, points, center, radius, up_degree):
     if not np.allclose(values[mask], NORTH, atol=1e-9):
         raise ValueError("bump target region is not constant north")
     alpha = np.arctan2(points @ e2, points @ e1)
-    prof = PI * (1.0 - smoothstep(r / radius))  # pi at center, 0 at edge
+    prof = PI * (1.0 - gallery.smoothstep(r / radius))  # pi at center, 0 at edge
     dh = -int(np.sign(up_degree))  # chart formula gives deg = -dh per turn
     w = np.exp(1j * dh * alpha)
     bump = np.stack([np.sin(prof) * w.real, np.sin(prof) * w.imag,
@@ -286,6 +283,14 @@ def multi_bump_s2(d, n, n_phi=None):
     if k > 1 and 2.0 * radius >= TWO_PI / k:
         raise Overcrowded(f"{k} bumps of radius {radius} do not fit on the equator")
     n_phi = 256 if n_phi is None else n_phi
+    # a radius must span 6 rows: at n = 32 the Kronecker degree of d = 2
+    # reads 1.990 with 5.1 rows per radius and 2.002 with 6.4
+    rows = radius * n_phi / PI
+    if rows < 6.0:
+        raise GridTooCoarse(
+            f"a bump radius 1/{n} spans {rows:.1f} of {n_phi} rows, fewer "
+            f"than 6: need n_phi (spec key nphi) >= {int(np.ceil(6.0 * PI * n))}"
+            " or a smaller n")
     phi = uniform_rows(n_phi)
     n_lam = 2 * n_phi
     points = _grid_points(phi, n_lam)
@@ -300,8 +305,6 @@ def multi_bump_s2(d, n, n_phi=None):
 def bump_pair_s2(prof, n_phi=None):
     """The degree-(1,0) pair from the capacity profiles, centered at the
     north pole on a geometric row grid that resolves the eps scales."""
-    from .gallery import GalleryPair
-
     n_phi = 512 if n_phi is None else n_phi
     phi = geometric_rows(prof.eps / 16.0, n_phi)
     n_lam = 64
@@ -315,15 +318,14 @@ def bump_pair_s2(prof, n_phi=None):
         return from_function(fn, phi=phi, n_lam=n_lam)
 
     f, g = make(prof.F), make(prof.G)
-    return GalleryPair(f, g, {"eps": prof.eps, "n_dim": 2}, "critical_bump")
+    return gallery.GalleryPair(f, g, {"eps": prof.eps, "n_dim": 2},
+                               "critical_bump")
 
 
 def vo1_pair(d1, d2, n_phi=None, R=0.9):
     """S^2 pair in classes (d1, d2) whose difference field is independent of
     d1 - d2: equal radial profiles around the north pole, different windings,
     plus (for d2 != 0) a shared degree-d2 insertion where both equal (0,0,1)."""
-    from .gallery import GalleryPair
-
     d1, d2 = int(d1), int(d2)
     if d1 == d2:
         raise ValueError("need d1 != d2")
@@ -332,8 +334,9 @@ def vo1_pair(d1, d2, n_phi=None, R=0.9):
 
     def G(r):
         r = np.asarray(r, dtype=float)
-        up = smoothstep((r - R / 4.0) / (R / 3.0 - R / 4.0))
-        down = smoothstep((r - 2.0 * R / 3.0) / (3.0 * R / 4.0 - 2.0 * R / 3.0))
+        up = gallery.smoothstep((r - R / 4.0) / (R / 3.0 - R / 4.0))
+        down = gallery.smoothstep(
+            (r - 2.0 * R / 3.0) / (3.0 * R / 4.0 - 2.0 * R / 3.0))
         return 0.5 * PI * (up - down)
 
     def F(r):
@@ -369,4 +372,5 @@ def vo1_pair(d1, d2, n_phi=None, R=0.9):
             _insert_bump(vf, points, center, radius, np.sign(d2))
             _insert_bump(vg, points, center, radius, np.sign(d2))
         f, g = Sphere2Map(phi, vf), Sphere2Map(phi, vg)
-    return GalleryPair(f, g, {"d1": d1, "d2": d2, "R": R}, "vo1_independent")
+    return gallery.GalleryPair(f, g, {"d1": d1, "d2": d2, "R": R},
+                               "vo1_independent")

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from spheremaps import cli, gallery, grid, sphere2
+from spheremaps import cli, experiments, gallery, grid, sphere2
 
 PI = np.pi
 
@@ -45,6 +45,121 @@ class TestMapSpecParsing:
         g = cli.parse_map_spec(str(path))
         assert grid.degree_winding(g) == 2
         assert np.max(np.abs(g.samples - f.samples)) < 1e-12
+
+
+# one spec per gallery name: (spec, degree or degrees, grid size)
+MAP_SPECS = {
+    "power": ("power:d=2,m=1024", 2, 1024),
+    "blaschke": ("blaschke:d=1,delta=0.2", -1, 4096),
+    "oscillator": ("oscillator:d1=1,n=4,m=2048", 1, 2048),
+    "multibump": ("multibump:d=2,n=16", 2, 4096),
+    "denseonto": ("denseonto:d1=1,n=2", 1, None),
+    "ramp": ("ramp:d=1,gap=0.4", 1, 4096),
+    "deflate": ("deflate:d1=2,d=1,lam=0.01", 1, 4096),
+    "suspension": ("suspension:k=3,dh=2,nphi=64", 2, 64),
+    "stereo": ("stereo:d=-2,nphi=32", -2, 32),
+}
+PAIR_SPECS = {
+    "zigzag": ("zigzag:d1=1,d2=0", (1, 0), 4096),
+    "attainment": ("attainment:d1=1,p=1.5,m=2048", (1, -1), 2048),
+    "bump": ("bump:eps=1e-2,m=4096", (1, 0), 4096),
+    "productshift": ("productshift:d1=2,d2=0", (2, 0), 4096),
+    "plateau": ("plateau:d1=1,d2=2,m=1024", (1, 2), 1024),
+    "vo1": ("vo1:d1=3,d2=1,nphi=32", (3, 1), 32),
+}
+
+
+def _degree_and_size(f):
+    if isinstance(f, sphere2.Sphere2Map):
+        return round(sphere2.degree_kronecker_s2(f)), f.n_phi
+    return grid.degree_winding(f), f.m
+
+
+class TestGalleryNames:
+    def test_every_name_has_a_spec_here(self):
+        assert set(MAP_SPECS) == set(gallery.MAPS)
+        assert set(PAIR_SPECS) == set(gallery.PAIRS)
+
+    @pytest.mark.parametrize("name", sorted(MAP_SPECS))
+    def test_map_builds_from_its_spec(self, name):
+        spec, degree, size = MAP_SPECS[name]
+        got_degree, got_size = _degree_and_size(cli.parse_map_spec(spec))
+        assert got_degree == degree
+        assert size is None or got_size == size
+
+    @pytest.mark.parametrize("name", sorted(PAIR_SPECS))
+    def test_pair_builds_from_its_spec(self, name):
+        spec, degrees, size = PAIR_SPECS[name]
+        pair_name, params = cli.split_spec(spec)
+        pair = gallery.build_pair(pair_name, **params)
+        (df, size_f), (dg, _) = map(_degree_and_size, (pair.f, pair.g))
+        assert pair.claim
+        assert size_f == size
+        if name != "vo1":  # 32 rows do not resolve its insertion bumps
+            assert (df, dg) == degrees
+
+
+MISUSE = [
+    ("degree", "--map", "power:d=1.5"),
+    ("degree", "--map", "power:d=nan"),
+    ("degree", "--map", "power"),
+    ("degree", "--map", "power:d=1,m=1024.5"),
+    ("degree", "--map", "multibump:d=2,ndim=2"),
+    ("degree", "--map", "stereo:d=1,m=64"),
+    ("seminorm", "--map", "power:d=1,zz=3", "--s", "1", "--p", "2"),
+    ("seminorm", "--map", "power:d=1", "--s", "0.5", "--p", "2",
+     "--method", "w1p"),
+    ("seminorm", "--map", "power:d=1", "--s", "1", "--p", "1",
+     "--method", "fourier"),
+    ("seminorm", "--map", "power:d=1", "--s", "1.5", "--p", "2"),
+    ("pair", "--pair", "bump:eps=1e-2", "--s", "0.5", "--p", "1.5"),
+    ("pair", "--pair", "zigzag:d1=1", "--s", "1", "--p", "1"),
+    ("experiment", "w11-zigzag", "--param", "d1=1.5"),
+    ("experiment", "s2-energy", "--param", "d=1,x"),
+    ("experiment", "capacity-decay", "--param", "eps_extended="),
+    ("sweep", "multibump", "--d", "1.5"),
+    ("sweep", "deflation", "--n", "3"),
+    ("optimize", "--from", "power:d=0", "--to-class", "1", "--s", "1",
+     "--p", "2", "--budget", "0"),
+    ("optimize", "--from", "power:d=0", "--to-class", "1", "--s", "1",
+     "--p", "2", "--budget", "-1", "--one-sided"),
+]
+
+
+class TestMisuse:
+    @pytest.mark.parametrize("argv", MISUSE, ids=" ".join)
+    def test_exits_two_with_one_error_line(self, capsys, argv):
+        assert cli.main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unknown_name_message_has_no_quotes(self, capsys):
+        assert cli.main(["degree", "--map", "nosuch:d=1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown map name 'nosuch'; known: power,")
+
+
+def _comma(value):
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return repr(value)
+
+
+class TestExperimentParams:
+    @pytest.mark.parametrize("name", [name for name, e in
+                                      experiments.REGISTRY.items()
+                                      if not e.slow])
+    def test_defaults_round_trip_through_param(self, capsys, name):
+        assert cli.main(["experiment", name]) == 0
+        plain = capsys.readouterr().out
+        argv = ["experiment", name]
+        defaults = experiments.REGISTRY[name].runner.__kwdefaults__
+        for key, value in defaults.items():
+            argv += ["--param", f"{key}={_comma(value)}"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == plain
 
 
 class TestCommands:

@@ -82,19 +82,6 @@ class TestAnsatz:
         f = ans.to_map(np.zeros(ans.dim), m=512)
         assert grid.degree_winding(f) == -2
 
-    def test_pad_params_preserves_phase(self):
-        small = optimize.PhaseAnsatz(1, 4)
-        big = optimize.PhaseAnsatz(1, 16)
-        rng = np.random.default_rng(3)
-        x = 0.2 * rng.standard_normal(2 * small.dim)
-        y = optimize._pad_params(x, 16)
-        assert y.size == 2 * big.dim
-        t = grid.nodes(256)
-        assert np.allclose(small.phase(t, x[:small.dim]),
-                           big.phase(t, y[:big.dim]), atol=1e-12)
-        assert np.allclose(small.phase(t, x[small.dim:]),
-                           big.phase(t, y[big.dim:]), atol=1e-12)
-
 
 class TestSeedsAndSearch:
     def test_pair_seeds_start_near_target(self):

@@ -294,6 +294,30 @@ class TestSupAndDispatch:
         res = seminorms.seminorm(f, SobolevIndex(1.0, 1.0), "w1p_quadrature")
         assert abs(res.value - TWO_PI) < 1e-6
 
+    @pytest.mark.parametrize("method,s,p", [
+        ("w1p_quadrature", 0.5, 2.0), ("gagliardo_quadrature", 1.0, 2.0),
+        ("fourier_h_half", 1.0, 1.0), ("fourier_h_half", 0.5, 1.5),
+        ("sup_norm", 1.5, 2.0)])
+    def test_dispatcher_rejects_an_index_the_method_does_not_measure(
+            self, method, s, p):
+        with pytest.raises(IndexOutOfRange):
+            seminorms.seminorm(grid.power_map(1), SobolevIndex(s, p), method)
+
+    @pytest.mark.parametrize("s,p,names", [
+        (1.0, 1.5, ["w1p_quadrature", "sup_norm"]),
+        (0.5, 2.0, ["gagliardo_quadrature", "fourier_h_half", "sup_norm"]),
+        (0.25, 3.0, ["gagliardo_quadrature", "sup_norm"])])
+    def test_default_methods_are_those_measuring_the_index(self, s, p, names):
+        assert seminorms.select_methods(SobolevIndex(s, p)) == names
+        assert seminorms.select_methods(SobolevIndex(s, p), "sup") == [
+            "sup_norm"]
+
+    def test_gagliardo_caps_nodes_away_from_p_2(self):
+        v = np.zeros(2 * seminorms._MAX_NODES_P)
+        with pytest.raises(IndexOutOfRange, match="--p 2"):
+            seminorms.gagliardo_seminorm(v, 0.5, 1.5)
+        assert seminorms.gagliardo_seminorm(v, 0.5, 2.0) == 0.0
+
     @pytest.mark.parametrize("method", ["w1p_quadrature", "sup_norm"])
     def test_dispatcher_rejects_sphere_maps(self, method):
         f = sphere2.stereographic_power(1, n_phi=16)

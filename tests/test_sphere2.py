@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spheremaps import experiments, gallery, sphere2
-from spheremaps.errors import GridMismatch, Overcrowded
+from spheremaps.errors import GridMismatch, GridTooCoarse, Overcrowded
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -81,6 +81,11 @@ class TestAntipodeAndBumps:
     def test_overcrowded_bumps_raise(self):
         with pytest.raises(Overcrowded):
             sphere2.multi_bump_s2(8, 2)
+
+    @pytest.mark.parametrize("n,n_phi", [(32, 256), (32, 512)])
+    def test_radius_under_six_rows_raises(self, n, n_phi):
+        with pytest.raises(GridTooCoarse):
+            sphere2.multi_bump_s2(2, n, n_phi=n_phi)
 
 
 class TestPairFields:
