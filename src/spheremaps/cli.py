@@ -255,14 +255,15 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize",
-                       help="estimate a class distance by simplex descent")
+                       help="estimate a class distance by L-BFGS-B descent")
     p.add_argument("--from", dest="source", required=True,
                    help="map spec fixing the starting class")
     p.add_argument("--to-class", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--k", type=int, default=32)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=int, default=2000,
+                   help="iteration cap of each descent")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--one-sided", action="store_true",

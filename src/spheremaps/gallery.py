@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid, params, seminorms, sphere2
-from .errors import IndexOutOfRange, NotLocallyConstant, Overcrowded
+from .errors import (IndexOutOfRange, NotLocallyConstant, Overcrowded,
+                     ParameterError)
 from .grid import PI, TWO_PI, CircleMap, phase_model
 
 
@@ -28,6 +29,15 @@ def smoothstep(t):
         a = np.where(t > 0, np.exp(-1.0 / np.clip(t, 1e-300, None)), 0.0)
         b = np.where(t < 1, np.exp(-1.0 / np.clip(1.0 - t, 1e-300, None)), 0.0)
     return a / (a + b)
+
+
+def dsmoothstep(t):
+    """smoothstep'(t) = s (1 - s) (1/t^2 + 1/(1 - t)^2), s = smoothstep(t)."""
+    s = smoothstep(t)
+    # s (1 - s) is exactly 0 outside (1e-3, 1 - 1e-3), where exp(-1000)
+    # underflows, so the clip only keeps 1/t^2 finite
+    u = np.clip(t, 1e-3, 1.0 - 1e-3)
+    return s * (1.0 - s) * (1.0 / u ** 2 + 1.0 / (1.0 - u) ** 2)
 
 
 def cap_k(t):
@@ -131,9 +141,8 @@ def ramp_map(d, gap=0.5, m=None):
         return 2.0 * PI * d * smoothstep((np.asarray(t, float) - gap) / width)
 
     def dphi(t):
-        t = np.asarray(t, dtype=float)
-        h = 1e-7
-        return (phi(t + h) - phi(t - h)) / (2.0 * h)
+        return TWO_PI * d * dsmoothstep(
+            (np.asarray(t, float) - gap) / width) / width
 
     return grid.from_phase(phase_model(phi, dphi, winding=d), m)
 
@@ -289,6 +298,15 @@ def capacity_profiles(eps):
     return CapacityProfiles(float(eps))
 
 
+def _grid_keys(n_dim, m, n_phi):
+    """Reject the grid size of the dimension not chosen: m sizes a circle
+    grid (n_dim = 1), n_phi a sphere grid (n_dim = 2)."""
+    if n_dim == 1 and n_phi is not None:
+        raise ParameterError("nphi sizes an S^2 grid; it needs ndim=2")
+    if n_dim == 2 and m is not None:
+        raise ParameterError("m sizes a circle grid; it needs ndim=1")
+
+
 def _arc_offset(theta):
     """(sign(x), |x|) for the arc offset x = theta - pi."""
     x = np.asarray(theta, dtype=float) - PI
@@ -304,6 +322,7 @@ def _bump_phase_1d(profile_fn, theta):
 def bump_pair(eps, n_dim=1, m=None, n_phi=None):
     """The bump pair (f, g) with degrees (1, 0) whose difference lives in the
     last coordinate only and shrinks in the critical norm as eps -> 0."""
+    _grid_keys(n_dim, m, n_phi)
     prof = capacity_profiles(eps)
     if n_dim == 1:
         m = (1 << 20) if m is None else m
@@ -329,6 +348,7 @@ def multi_bump(d, n_dim=1, n=32, m=None, n_phi=None):
     d, n = int(d), int(n)
     if d == 0:
         raise ValueError("need d != 0")
+    _grid_keys(n_dim, m, n_phi)
     if n_dim == 2:
         return sphere2.multi_bump_s2(d, n, n_phi=n_phi)
     if n_dim != 1:
@@ -350,8 +370,10 @@ def multi_bump(d, n_dim=1, n=32, m=None, n_phi=None):
 
     def dphi(t):
         t = np.asarray(t, dtype=float)
-        h = 1e-7
-        return (phi(t + h) - phi(t - h)) / (2.0 * h)
+        total = np.zeros_like(t)
+        for c in centers:
+            total += dsmoothstep((_wrap(t - c) + r) / (2.0 * r))
+        return sgn * PI / r * total
 
     # the summed phase has harmless 2*pi jumps antipodal to each center;
     # declare them so segment quadrature never straddles one
@@ -384,24 +406,23 @@ def product_shift(d1, d2, m=None):
     d1, d2 = int(d1), int(d2)
 
     def rise(t):  # 0 -> 1 across the right half-circle, flat on the left
-        return smoothstep((_wrap(t) + PI / 2.0) / PI)
+        return (_wrap(t) + PI / 2.0) / PI
 
     def h_phi(t):
         t = np.asarray(t, dtype=float)
-        return TWO_PI * (rise(t) + np.floor((t + PI) / TWO_PI))
+        return TWO_PI * (smoothstep(rise(t)) + np.floor((t + PI) / TWO_PI))
+
+    def dh_phi(t):
+        return 2.0 * dsmoothstep(rise(t))
 
     def g_phi(t):
-        t = np.asarray(t, dtype=float)
-        return TWO_PI * d2 * smoothstep((t - PI / 2.0) / PI)
+        return TWO_PI * d2 * smoothstep((np.asarray(t, float) - PI / 2.0) / PI)
 
-    def num_deriv(fn):
-        def df(t, h=1e-7):
-            return (fn(np.asarray(t, float) + h) - fn(np.asarray(t, float) - h)) / (2 * h)
+    def dg_phi(t):
+        return 2.0 * d2 * dsmoothstep((np.asarray(t, float) - PI / 2.0) / PI)
 
-        return df
-
-    h = grid.from_phase(phase_model(h_phi, num_deriv(h_phi), winding=1), m)
-    g = grid.from_phase(phase_model(g_phi, num_deriv(g_phi), winding=d2), m)
+    h = grid.from_phase(phase_model(h_phi, dh_phi, winding=1), m)
+    g = grid.from_phase(phase_model(g_phi, dg_phi, winding=d2), m)
     f = grid.product(grid.power(h, d1 - d2), g)
     return GalleryPair(f, g, {"d1": d1, "d2": d2}, "product_shift")
 

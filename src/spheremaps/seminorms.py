@@ -271,13 +271,30 @@ def _difference(h, g):
     return h if g is None else _values(h) - _values(g)
 
 
+def _require_maps(method, *maps):
+    """Bare samples carry no grid or phase; these methods need both."""
+    for v in maps:
+        if v is not None and not isinstance(v, CircleMap):
+            raise NotACircleMap(
+                f"{method} takes circle maps, got {type(v).__name__}")
+
+
+def _w1p_method(h, g, index):
+    _require_maps("w1p_quadrature", h, g)
+    return w1p_distance(h, grid.power_map(0, h.m) if g is None else g, index.p)
+
+
+def _sup_method(h, g, index):
+    if g is None:
+        return float(np.max(np.abs(_values(h))))
+    _require_maps("sup_norm", h, g)
+    return sup_distance(h, g)
+
+
 # name: (CLI alias, whether it measures the index (s, p), evaluator taking
 # (h, g or None, index)), in the order the CLI prints them
 METHODS = {
-    "w1p_quadrature": (
-        "w1p", lambda s, p: s == 1.0,
-        lambda h, g, index: w1p_distance(
-            h, g if g is not None else grid.power_map(0, h.m), index.p)),
+    "w1p_quadrature": ("w1p", lambda s, p: s == 1.0, _w1p_method),
     "gagliardo_quadrature": (
         "gagliardo", lambda s, p: s < 1.0,
         lambda h, g, index: gagliardo_seminorm(
@@ -285,10 +302,7 @@ METHODS = {
     "fourier_h_half": (
         "fourier", lambda s, p: (s, p) == (0.5, 2.0),
         lambda h, g, index: np.sqrt(h_half_seminorm_sq(_difference(h, g)))),
-    "sup_norm": (
-        "sup", lambda s, p: s <= 1.0,
-        lambda h, g, index: sup_distance(h, g) if g is not None else float(
-            np.max(np.abs(_values(h))))),
+    "sup_norm": ("sup", lambda s, p: s <= 1.0, _sup_method),
 }
 
 

@@ -106,6 +106,8 @@ MISUSE = [
     ("degree", "--map", "power:d=1,m=1024.5"),
     ("degree", "--map", "multibump:d=2,ndim=2"),
     ("degree", "--map", "stereo:d=1,m=64"),
+    ("degree", "--map", "multibump:d=2,nphi=999"),
+    ("pair", "--pair", "bump:eps=1e-2,ndim=2,m=1024", "--s", "1", "--p", "2"),
     ("seminorm", "--map", "power:d=1,zz=3", "--s", "1", "--p", "2"),
     ("seminorm", "--map", "power:d=1", "--s", "0.5", "--p", "2",
      "--method", "w1p"),

@@ -165,6 +165,35 @@ class TestBumpPairs:
             assert np.array_equal(prof.G(r), g_ref)
         assert prof.F(0.5).shape == prof.G(0.0).shape == ()
 
+class TestSmoothstep:
+    def test_derivative_against_central_differences(self):
+        t = np.linspace(-0.5, 1.5, 4001)
+        h = 1e-6
+        num = (gallery.smoothstep(t + h) - gallery.smoothstep(t - h)) / (2 * h)
+        ds = gallery.dsmoothstep(t)
+        assert np.all(np.isfinite(ds))
+        assert np.max(np.abs(ds - num)) < 1e-8
+        assert np.all(ds[(t <= 0) | (t >= 1)] == 0.0)
+
+    def test_no_overflow_next_to_the_ends(self):
+        t = np.array([1e-300, 1e-200, 1e-4, 1.0 - 1e-4, 1.0 - 1e-17])
+        # exp(-1/t) underflows by design; overflow or NaN would be a bug
+        with np.errstate(over="raise", invalid="raise"):
+            assert np.all(gallery.dsmoothstep(t) == 0.0)
+
+    @pytest.mark.parametrize("f", [
+        gallery.ramp_map(2), gallery.multi_bump(3, 1, n=8),
+        gallery.product_shift(3, 1).f, gallery.product_shift(3, 1).g],
+        ids=["ramp", "multibump", "productshift-f", "productshift-g"])
+    def test_phase_derivatives_match_the_spectral_derivative(self, f):
+        # the samples are smooth, so the spectral derivative of the map is
+        # i phi' f to near machine precision
+        dphi = f.phase.deriv(f.theta)
+        spectral = (grid.spectral_derivative(f.samples)
+                    / (1j * f.samples)).real
+        assert np.max(np.abs(dphi - spectral)) < 1e-6 * np.max(np.abs(dphi))
+
+
 class TestMultiBumpAndDense:
     def test_multibump_degree(self):
         for d in (1, 4):

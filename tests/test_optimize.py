@@ -90,7 +90,7 @@ class TestSeedsAndSearch:
         obj = optimize._Objective(idx, optimize.PhaseAnsatz(0, 32),
                                   ans_f=optimize.PhaseAnsatz(1, 32),
                                   m_obj=4096)
-        best = min(obj(np.concatenate(s)) for s in seeds)
+        best = min(obj(np.concatenate(s))[0] for s in seeds)
         assert best < 1.10 * optimize.w1p_formula(1, 1, 0)
 
     def test_small_search_w11(self):
@@ -204,7 +204,7 @@ class TestObjective:
         for _ in range(3):
             x = 0.2 * rng.standard_normal(dim)
             ref = _direct_objective(index, x, ans_g, ans_f, f)
-            assert abs(obj(x) - ref) <= 1e-12 * ref
+            assert abs(obj(x)[0] - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_two_sided_w1p_matches_direct_reference(self, p):
@@ -219,6 +219,86 @@ class TestObjective:
     def test_h_half_matches_direct_reference(self):
         self._check(SobolevIndex(0.5, 2.0), optimize.PhaseAnsatz(1, 16),
                     ans_f=optimize.PhaseAnsatz(0, 16), seed=11)
+
+
+class TestGradient:
+    """The objective's gradient against central differences of its value."""
+
+    @staticmethod
+    def _check(obj, dim, seed):
+        x = 0.2 * np.random.default_rng(seed).standard_normal(dim)
+        value, grad = obj(x)
+        assert value == obj(x)[0] and grad.shape == x.shape
+        h = 1e-6
+        num = np.array([(obj(x + h * e)[0] - obj(x - h * e)[0]) / (2.0 * h)
+                        for e in np.eye(dim)])
+        assert np.linalg.norm(grad - num) <= 1e-6 * np.linalg.norm(num)
+
+    @pytest.mark.parametrize("index", [
+        SobolevIndex(1.0, 1.0), SobolevIndex(1.0, 1.5),
+        SobolevIndex(1.0, 2.0), SobolevIndex(0.5, 2.0)], ids=str)
+    def test_two_sided(self, index):
+        ans_f, ans_g = optimize.PhaseAnsatz(1, 8), optimize.PhaseAnsatz(0, 8)
+        obj = optimize._Objective(index, ans_g, ans_f=ans_f, m_obj=512)
+        self._check(obj, ans_f.dim + ans_g.dim, seed=3)
+
+    @pytest.mark.parametrize("index", [
+        SobolevIndex(1.0, 1.0), SobolevIndex(1.0, 1.5),
+        SobolevIndex(1.0, 2.0), SobolevIndex(0.5, 2.0)], ids=str)
+    def test_one_sided_with_periodic_base(self, index):
+        base = optimize._PeriodicPart(gallery.oscillator(1, 6), 1)
+        ans_g = optimize.PhaseAnsatz(0, 8, base=base)
+        obj = optimize._Objective(index, ans_g, f_phase=base.pm, m_obj=512)
+        self._check(obj, ans_g.dim, seed=4)
+
+    @pytest.mark.parametrize("winding", [-2, 0, 3])
+    def test_pullback_is_the_adjoint_of_sample(self, winding):
+        # <u, dphase> + <v, dderiv> = <pullback(u, v), dx> along any dx
+        ans = optimize.PhaseAnsatz(winding, 6)
+        rng = np.random.default_rng(winding + 10)
+        x, dx = rng.standard_normal((2, ans.dim))
+        u, v = rng.standard_normal((2, 64))
+        h = 1e-6
+        p1, d1 = ans.sample(x + h * dx, 64)
+        p0, d0 = ans.sample(x - h * dx, 64)
+        lhs = (u @ (p1 - p0) + v @ (d1 - d0)) / (2.0 * h)
+        assert ans.pullback(x, u, v) @ dx == pytest.approx(lhs, rel=1e-7)
+        assert ans.pullback(x, u) @ dx == pytest.approx(
+            u @ (p1 - p0) / (2.0 * h), rel=1e-7)
+
+
+class TestStopReason:
+    def test_iteration_cap_is_budget_exhaustion(self):
+        rep = optimize.estimate_inf_distance(
+            gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0), k=4,
+            budget=3, restarts=0, m_obj=256)
+        assert rep.budget_exhausted
+        assert "ITERATIONS REACHED LIMIT" in rep.stop_reason
+        assert rep.wall_s > 0.0
+
+    def test_convergence_is_not_budget_exhaustion(self):
+        # d1 = d2: the zero seed is g = f, a minimum with zero gradient
+        rep = optimize.estimate_point_to_class(
+            gallery.build_map("power", d=1), 1, SobolevIndex(1.0, 2.0), k=4,
+            budget=50, restarts=0, m_obj=256)
+        assert rep.value == 0.0
+        assert not rep.budget_exhausted
+        assert rep.stop_reason.startswith("CONVERGENCE")
+
+    def test_line_search_failure_is_not_budget_exhaustion(self, monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        def failing(fun, x0, **kwargs):
+            return OptimizeResult(
+                x=x0, fun=fun(x0)[0], nfev=1, nit=0, status=2, success=False,
+                message="ABNORMAL: ")
+
+        monkeypatch.setattr(optimize, "minimize", failing)
+        rep = optimize.estimate_inf_distance(
+            gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0), k=4,
+            budget=50, restarts=0, m_obj=256)
+        assert not rep.budget_exhausted
+        assert rep.stop_reason == "ABNORMAL: "
 
 
 class TestReportCounters:

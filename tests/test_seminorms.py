@@ -327,6 +327,20 @@ class TestSupAndDispatch:
             seminorms.seminorm(grid.power_map(1), SobolevIndex(1.0, 2.0),
                                method, g=f)
 
+    @pytest.mark.parametrize("method", ["w1p_quadrature", "sup_norm"])
+    def test_dispatcher_rejects_bare_samples_it_cannot_measure(self, method):
+        bare = np.ones(16, dtype=complex)
+        with pytest.raises(NotACircleMap):
+            seminorms.seminorm(grid.power_map(1, 16), SobolevIndex(1.0, 2.0),
+                               method, g=bare)
+        with pytest.raises(NotACircleMap):
+            seminorms.seminorm(bare, SobolevIndex(1.0, 2.0), "w1p_quadrature")
+
+    def test_sup_norm_of_bare_samples(self):
+        res = seminorms.seminorm(2.0 * np.ones(16, dtype=complex),
+                                 SobolevIndex(1.0, 2.0), "sup_norm")
+        assert res.value == 2.0
+
 
 class TestLowerBoundInvariants:
     def test_degree_difference_bounds_w11(self):
