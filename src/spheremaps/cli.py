@@ -8,6 +8,7 @@ Exit codes: 0 = all declared tolerances met, 1 = a numerical check failed,
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -62,10 +63,14 @@ def parse_map_spec(spec):
     """A gallery map spec `name:key=value,...`, or a path ending in .csv
     holding sampled values (theta, Re f, Im f)."""
     if spec.endswith(".csv"):
-        data = np.loadtxt(spec, delimiter=",", skiprows=1, ndmin=2)
-        samples = data[:, 1] + 1j * data[:, 2]
-        samples = samples / np.abs(samples)
-        return grid.from_samples(samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file is caught below
+            data = np.loadtxt(spec, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[0] == 0 or data.shape[1] != 3:
+            raise ParameterError(
+                f"{spec}: need a header line and rows theta,re,im; got "
+                f"{data.shape[0]} rows of {data.shape[1]} columns")
+        return grid.from_samples(data[:, 1] + 1j * data[:, 2])
     name, params = split_spec(spec)
     return gallery.build_map(name, **params)
 
@@ -279,7 +284,7 @@ def main(argv=None):
     args.sep = "\t" if args.format == "tsv" else ","
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError quotes its message
         msg = exc.args[0] if isinstance(exc, KeyError) else exc
         sys.stderr.write(f"error: {msg}\n")

@@ -82,7 +82,7 @@ def _run_h_half_blaschke(*, d=2, delta=(1e-1, 1e-2, 1e-3)):
     limit = 4.0 * PI ** 2 * abs(d)
     rows, devs, ok = [], [], True
     for dl in delta:
-        m = max(grid.default_m(),
+        m = max(grid.DEFAULT_M,
                 1 << int(math.ceil(math.log2(2000.0 / dl))))
         f = grid.power_map(d, m)
         h = gallery.blaschke_pow(d, dl, m)
@@ -97,8 +97,6 @@ def _run_h_half_blaschke(*, d=2, delta=(1e-1, 1e-2, 1e-3)):
                      "abs_deviation": devs[-1]})
     ok = (ok and all(a > b for a, b in zip(devs, devs[1:]))
           and devs[-1] < 0.05 * limit)
-    for r in rows:
-        r["pass"] = ok
     return rows, ok, "Blaschke-product distance approaching 4 pi^2 |d|"
 
 
@@ -109,15 +107,12 @@ def _run_eps_bump_critical(*, eps=(1e-2, 1e-3, 1e-4), n_dim=1):
     for ev in eps:
         pair = gallery.bump_pair(ev, n_dim=n_dim)
         if n_dim == 1:
-            value = math.sqrt(seminorms.h_half_seminorm_sq(
-                pair.f.samples - pair.g.samples))
+            value = seminorms.h_half_distance(pair.f, pair.g)
         else:
             value = sphere2.h1_distance(pair.f, pair.g)
         vals.append(value)
         rows.append({"eps": ev, "value": value})
     ok = all(a > b for a, b in zip(vals, vals[1:]))
-    for r in rows:
-        r["pass"] = ok
     return rows, ok, "critical norm of the bump pair decreasing in eps"
 
 
@@ -141,7 +136,6 @@ def _run_capacity_decay(*, eps=(1e-2, 1e-4, 1e-6),
     ok = decreasing and vals[-1] < 0.5 * vals[0]
     for r, v in zip(rows, vals):
         r["ratio_to_first"] = v / vals[0]
-        r["pass"] = ok
     note = (f"decay C/sqrt(log(1/eps)): base-sweep ratio "
             f"{vals[n - 1] / vals[0]:.4f}, full-sweep ratio "
             f"{vals[-1] / vals[0]:.4f}")
@@ -177,7 +171,6 @@ def _run_s2_vo1(*, d_list=(3, 7), n_phi=256):
     ok = dev < 1e-12 and h1dev < 1e-6
     for r in rows:
         r["field_deviation"] = dev
-        r["pass"] = ok
     return rows, ok, "difference field independent of the winding degree"
 
 
@@ -221,8 +214,6 @@ def _run_oscillator_lb(*, n=(6, 10, 16), budget=2000, k=32, seed=0):
         rows.append({"n": nv, "value": rep.value, "two_pi": TWO_PI})
     ok = (all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
           and vals[-1] >= TWO_PI - 0.3)
-    for r in rows:
-        r["pass"] = ok
     return rows, ok, "oscillator distances approach the 2 pi ceiling"
 
 
@@ -239,7 +230,6 @@ def _run_multibump_scaling(*, d=(1, 2, 4, 8), n=32):
     ok = ratio < 1.25
     for r in rows:
         r["slope_ratio"] = ratio
-        r["pass"] = ok
     return rows, ok, f"squared critical norm linear in d (ratio {ratio:.3f})"
 
 
@@ -251,8 +241,7 @@ def _run_product_shift_scaling(*, d=(1, 2, 4, 8), s=1.0, p=1.0):
             val = seminorms.w1p_distance(pair.f, pair.g, p)
             scale = dv if p == 1.0 else dv ** (1.0 / p)
         else:
-            val = math.sqrt(seminorms.h_half_seminorm_sq(
-                pair.f.samples - pair.g.samples))
+            val = seminorms.h_half_distance(pair.f, pair.g)
             scale = math.sqrt(dv)
         per.append(val / scale)
         rows.append({"d": dv, "value": val, "scaled": val / scale})
@@ -260,7 +249,6 @@ def _run_product_shift_scaling(*, d=(1, 2, 4, 8), s=1.0, p=1.0):
     ok = ratio < 1.25 if s == 1.0 and p == 1.0 else ratio < 4.0
     for r in rows:
         r["scaled_ratio"] = ratio
-        r["pass"] = ok
     return rows, ok, f"product-shift distance scaling (ratio {ratio:.3f})"
 
 
@@ -270,8 +258,7 @@ def _run_degree_stability(*, eps=(1e-2, 1e-3, 1e-4)):
         pair = gallery.bump_pair(ev, n_dim=1)
         df = grid.degree_winding(pair.f)
         dg = grid.degree_winding(pair.g)
-        val = math.sqrt(seminorms.h_half_seminorm_sq(
-            pair.f.samples - pair.g.samples))
+        val = seminorms.h_half_distance(pair.f, pair.g)
         vals.append(val)
         # distance-to-degree-gap ratio: finite means the classes touch
         # without the reported degrees ever merging
@@ -349,4 +336,6 @@ def run_experiment(name, **overrides):
     runner = REGISTRY[name].runner
     rows, passed, summary = runner(**params.coerce(
         runner.__kwdefaults__, overrides, f"experiment '{name}'"))
+    for row in rows:  # a row without its own verdict takes the experiment's
+        row.setdefault("pass", passed)
     return ExperimentResult(name, rows, passed, summary)

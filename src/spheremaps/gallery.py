@@ -239,7 +239,7 @@ def blaschke_pow(d, delta, m=None):
     d = int(d)
     if not (0.0 < delta < 1.0):
         raise ValueError("need 0 < delta < 1")
-    m = grid.default_m() if m is None else m
+    m = grid.DEFAULT_M if m is None else m
     z = np.exp(1j * grid.nodes(m))
     a = 1.0 - delta
     w = (z - a) / (a * z - 1.0)

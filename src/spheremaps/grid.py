@@ -6,21 +6,20 @@ lifting, the Kronecker integral, and the Fourier mode sum) so the routes can
 cross-check each other.
 """
 
-import os
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridMismatch, GridTooCoarse, MissingDerivative
+from .errors import (GridMismatch, GridTooCoarse, IndexOutOfRange,
+                     MissingDerivative)
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 
-def default_m():
-    """Grid size used when none is given (env var HG_GRID_M overrides)."""
-    return int(os.environ.get("HG_GRID_M", "4096"))
+DEFAULT_M = 4096  # grid size used when none is given
 
 
 def _check_m(m):
@@ -92,7 +91,7 @@ class CircleMap:
 
 def from_phase(phase, m=None):
     """Build a CircleMap exp(i*phi(theta_j)) from a PhaseModel."""
-    m = default_m() if m is None else m
+    m = DEFAULT_M if m is None else m
     return CircleMap(np.exp(1j * phase.value(nodes(m))), phase=phase)
 
 
@@ -135,14 +134,15 @@ class FourierSeries:
 
 @dataclass(frozen=True)
 class SobolevIndex:
-    """A smoothness/integrability pair (s, p) with s > 0, p >= 1."""
+    """A smoothness/integrability pair (s, p), finite, with s > 0, p >= 1."""
 
     s: float
     p: float
 
     def __post_init__(self):
-        if not (self.s > 0 and self.p >= 1):
-            raise ValueError(f"need s > 0 and p >= 1, got ({self.s}, {self.p})")
+        if not (0 < self.s < np.inf and 1 <= self.p < np.inf):
+            raise IndexOutOfRange(
+                f"need finite s > 0 and p >= 1, got ({self.s}, {self.p})")
 
 
 def lift(f):
@@ -165,8 +165,6 @@ def lift(f):
 
 def degree_winding(f):
     """Degree via phase lifting (exact integer)."""
-    if isinstance(f, Phase):
-        return f.winding
     return lift(f).winding
 
 
@@ -198,7 +196,7 @@ def degree_kronecker_s1(f):
 
 def degree_fourier(f):
     """Degree via sum_n n |a_n|^2 (a float)."""
-    fs = f if isinstance(f, FourierSeries) else fourier(f)
+    fs = fourier(f)
     return float(np.sum(fs.n * np.abs(fs.coeffs) ** 2))
 
 
@@ -210,52 +208,44 @@ def round_degree(x):
     """
     d = int(round(x))
     if abs(x - d) > 0.1:
-        import warnings
-
         warnings.warn(f"raw degree {x:.6f} is far from an integer",
                       RuntimeWarning, stacklevel=2)
     return d
 
 
-def _require_same_grid(f, g):
+def require_same_grid(f, g):
     if f.m != g.m:
         raise GridMismatch(f"grids differ: {f.m} vs {g.m}")
 
 
+def _phase_sum(*terms):
+    """The phase model sum c * phi of (c, PhaseModel) terms, or None when a
+    term has no phase model."""
+    if any(pm is None for _, pm in terms):
+        return None
+    return phase_model(lambda t: sum(c * pm.value(t) for c, pm in terms),
+                       lambda t: sum(c * pm.deriv(t) for c, pm in terms),
+                       np.concatenate([pm.breakpoints for _, pm in terms]),
+                       sum(c * pm.winding for c, pm in terms))
+
+
 def product(f, g):
     """Pointwise product; degrees add.  Phase models combine when both exist."""
-    _require_same_grid(f, g)
-    pm = None
-    if f.phase is not None and g.phase is not None:
-        pf, pg = f.phase, g.phase
-        pm = phase_model(lambda t: pf.value(t) + pg.value(t),
-                         lambda t: pf.deriv(t) + pg.deriv(t),
-                         np.concatenate((pf.breakpoints, pg.breakpoints)),
-                         pf.winding + pg.winding)
+    require_same_grid(f, g)
     s = f.samples * g.samples
-    return CircleMap(s / np.abs(s), phase=pm)
+    return CircleMap(s / abs(s), phase=_phase_sum((1, f.phase), (1, g.phase)))
 
 
 def conjugate(f):
     """Complex conjugate; the degree flips sign."""
-    pm = None
-    if f.phase is not None:
-        pf = f.phase
-        pm = phase_model(lambda t: -pf.value(t), lambda t: -pf.deriv(t),
-                         pf.breakpoints, -pf.winding)
-    return CircleMap(np.conj(f.samples), phase=pm)
+    return CircleMap(np.conj(f.samples), phase=_phase_sum((-1, f.phase)))
 
 
 def power(f, k):
     """Pointwise k-th power; the degree multiplies by k."""
     k = int(k)
-    pm = None
-    if f.phase is not None:
-        pf = f.phase
-        pm = phase_model(lambda t: k * pf.value(t), lambda t: k * pf.deriv(t),
-                         pf.breakpoints, k * pf.winding)
     s = f.samples ** k
-    return CircleMap(s / np.abs(s), phase=pm)
+    return CircleMap(s / abs(s), phase=_phase_sum((k, f.phase)))
 
 
 def require_smooth(values):

@@ -10,7 +10,7 @@ random restarts probe for anything better.
 import functools
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,17 +39,14 @@ def _nodes(m):
 
 @dataclass(frozen=True)
 class PhaseAnsatz:
-    """psi(theta) = winding*theta + base(theta) + c0 + sum a_k cos + b_k sin.
+    """psi(theta) = winding*theta + c0 + sum a_k cos + b_k sin.
 
-    base is an optional fixed periodic phase (e.g. the periodic part of a
-    reference map) so a search can start in a non-trivial gauge; it does not
-    change the winding.  An explicit domain-rotation parameter alpha acts on
-    the coefficients, keeping the rotation gauge inside the parameter vector.
+    An explicit domain-rotation parameter alpha acts on the coefficients,
+    keeping the rotation gauge inside the parameter vector.
     """
 
     winding: int
     k: int
-    base: object = None  # optional PhaseModel-like (value, deriv)
 
     @property
     def dim(self):
@@ -67,20 +64,14 @@ class PhaseAnsatz:
         """The phase at arbitrary points t (use sample on the uniform grid)."""
         c0, a, b = self._rotated(x)
         kt = np.outer(t, np.arange(1, self.k + 1))
-        out = self.winding * t + c0 + np.cos(kt) @ a + np.sin(kt) @ b
-        if self.base is not None:
-            out = out + self.base.value(t)
-        return out
+        return self.winding * t + c0 + np.cos(kt) @ a + np.sin(kt) @ b
 
     def deriv(self, t, x):
         """The phase derivative at arbitrary points t."""
         _, a, b = self._rotated(x)
         ks = np.arange(1, self.k + 1)
         kt = np.outer(t, ks)
-        out = self.winding - np.sin(kt) @ (ks * a) + np.cos(kt) @ (ks * b)
-        if self.base is not None:
-            out = out + self.base.deriv(t)
-        return out
+        return self.winding - np.sin(kt) @ (ks * a) + np.cos(kt) @ (ks * b)
 
     def sample(self, x, m):
         """(phase, deriv) on grid.nodes(m) from one inverse FFT.
@@ -102,12 +93,7 @@ class PhaseAnsatz:
         spec[1:self.k + 1] = c * (1 - ks)
         spec[m - self.k:] = (np.conj(c) * (1 + ks))[::-1]
         z = np.fft.ifft(spec, norm="forward")
-        t = _nodes(m)
-        phase, deriv = self.winding * t + z.real, self.winding + z.imag
-        if self.base is not None:
-            phase = phase + self.base.value(t)
-            deriv = deriv + self.base.deriv(t)
-        return phase, deriv
+        return self.winding * _nodes(m) + z.real, self.winding + z.imag
 
     def pullback(self, x, u, v=None):
         """The gradient in x of sum_j (u_j phase_j + v_j deriv_j), with
@@ -137,8 +123,7 @@ class PhaseAnsatz:
             grad[2 + k:] * x[2:2 + k] - grad[2:2 + k] * x[2 + k:])
         return grad
 
-    def to_map(self, x, m=None):
-        m = grid.default_m() if m is None else m
+    def to_map(self, x, m):
         return grid.from_samples(np.exp(1j * self.sample(x, m)[0]))
 
 
@@ -247,9 +232,10 @@ class _Objective:
     Quadrature is the uniform trapezoid rule at m_obj nodes (all ansatz maps
     are smooth); the H^{1/2} branch uses the exact mode sum of the sampled
     difference.  Each moving block is synthesized by PhaseAnsatz.sample and
-    its gradient pulled back by PhaseAnsatz.pullback; the parameter-free
-    terms (g's base, the phase model f_phase of a fixed f) are sampled once
-    here.
+    its gradient pulled back by PhaseAnsatz.pullback.  With a fixed f
+    (f_phase, its phase model) g's ansatz moves on top of f's periodic part
+    phi_f - d1 theta, so the search only has to move the slow component; f's
+    phase and that shift are sampled once here.
     """
 
     def __init__(self, index, ans_g, ans_f=None, f_phase=None, m_obj=4096):
@@ -260,25 +246,26 @@ class _Objective:
                 "searchable indices are (1, p) and (1/2, 2)")
         self.m = m_obj
         if self.h_half:
-            self.abs_modes = np.abs(grid.fourier_modes(m_obj))
-        self.ans_g = replace(ans_g, base=None)
-        self.ans_f = ans_f
-        t = grid.nodes(m_obj)
-        self.g_base = None if ans_g.base is None else (
-            ans_g.base.value(t), ans_g.base.deriv(t))
+            self.abs_modes = seminorms._abs_modes(m_obj)
+        self.ans_g, self.ans_f = ans_g, ans_f
         if f_phase is not None:
-            self.f_fixed = (f_phase.value(t),
-                            grid.patch_nonfinite(f_phase.deriv(t)))
+            t = grid.nodes(m_obj)
+            fphi = f_phase.value(t)
+            fder = grid.patch_nonfinite(f_phase.deriv(t), t)
+            self.f_fixed = (fphi, fder)
+            self.g_shift = (fphi - f_phase.winding * t,
+                            fder - f_phase.winding)
 
     def __call__(self, x):
-        if self.ans_f is None:
-            (fphi, fder), xg = self.f_fixed, x
-        else:
-            xf, xg = x[:self.ans_f.dim], x[self.ans_f.dim:]
-            fphi, fder = self.ans_f.sample(xf, self.m)
+        xg = x[-self.ans_g.dim:]
         gphi, gder = self.ans_g.sample(xg, self.m)
-        if self.g_base is not None:
-            gphi, gder = gphi + self.g_base[0], gder + self.g_base[1]
+        if self.ans_f is None:
+            fphi, fder = self.f_fixed
+            gphi += self.g_shift[0]
+            gder += self.g_shift[1]
+        else:
+            xf = x[:self.ans_f.dim]
+            fphi, fder = self.ans_f.sample(xf, self.m)
         if self.h_half:
             value, (uf, vf), (ug, vg) = self._h_half(fphi, gphi)
         else:
@@ -364,28 +351,10 @@ def _pair_seeds(d1, d2, index, k, m=4096):
     return seeds
 
 
-class _PeriodicPart:
-    """The periodic part of a fixed map's phase, used as an ansatz base so
-    the search only has to move the slow component.  pm is the map's phase
-    model, fitted here when the map has none."""
-
-    def __init__(self, f, d1):
-        self.pm = f.phase
-        if self.pm is None:
-            self.pm = grid.phase_model_from_map(f)
-        self.d1 = d1
-
-    def value(self, t):
-        return grid.patch_nonfinite(self.pm.value(t), t) - self.d1 * t
-
-    def deriv(self, t):
-        return grid.patch_nonfinite(self.pm.deriv(t), t) - self.d1
-
-
 def _one_sided_seeds(d1, d2, k, m=4096):
-    """Mode seeds for the based one-sided ansatz: relative to f's own phase,
-    a deflation unwinding the winding gap in a window is the periodic
-    profile (d2 - d1)(2*pi*S(t) - t)."""
+    """Mode seeds for g's ansatz on top of f's periodic part: relative to
+    f's own phase, a deflation unwinding the winding gap in a window is the
+    periodic profile (d2 - d1)(2*pi*S(t) - t)."""
     t = grid.nodes(m)
     seeds = [np.zeros(2 * k + 2)] if d1 == d2 else []
     for width, t0 in ((0.3, 0.0), (0.8, PI), (1.5, PI / 2)):
@@ -399,9 +368,16 @@ def _one_sided_seeds(d1, d2, k, m=4096):
     return seeds
 
 
-def _search(obj, x_seeds, budget, restarts, seed, target):
-    if budget < 1:
-        raise ParameterError(f"budget must be at least 1, got {budget}")
+def _check_search(k, budget):
+    for name, value in (("k", k), ("budget", budget)):
+        if value < 1:
+            raise ParameterError(f"{name} must be at least 1, got {value}")
+
+
+def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
+    """Descend from every seed (and from perturbed seeds up to restarts
+    runs); the target is the W^{1,p} class distance of (d1, d2), or 0 for
+    H^{1/2}."""
     start = time.perf_counter()
     runs = []
     n_runs = max(restarts, len(x_seeds))
@@ -414,6 +390,7 @@ def _search(obj, x_seeds, budget, restarts, seed, target):
     # lowest value wins, the earliest run on ties; NaN never beats a number
     best, trace = min(runs, key=lambda run: (np.isnan(run[0].fun), run[0].fun))
     value = float(best.fun)
+    target = 0.0 if obj.h_half else w1p_formula(obj.index.p, d1, d2)
     return OptimizeReport(value=value, params=np.asarray(best.x), trace=trace,
                           restarts_used=n_runs, target=target,
                           gap=value - target,
@@ -429,33 +406,29 @@ def estimate_inf_distance(f, d2, index, k=32, budget=2000, restarts=8,
     """Two-sided estimate of the class distance from deg(f)'s class to the
     degree-d2 class.  f supplies the starting class d1 and one projection
     seed; both endpoints move during the search."""
-    d1 = grid.degree_winding(f)
+    _check_search(k, budget)
+    ph = grid.lift(f)
+    d1 = ph.winding
     ans_f = PhaseAnsatz(d1, k)
-    ans_g = PhaseAnsatz(d2, k)
-    obj = _Objective(index, ans_g, ans_f=ans_f, m_obj=m_obj)
+    obj = _Objective(index, PhaseAnsatz(d2, k), ans_f=ans_f, m_obj=m_obj)
     x_seeds = [np.concatenate(s) for s in _pair_seeds(d1, d2, index, k)]
     x_seeds.append(np.concatenate([
-        _project_phase(grid.lift(f).values, d1, k), x_seeds[0][ans_f.dim:]]))
-    target = w1p_formula(index.p, d1, d2) if index.s == 1.0 else 0.0
-    return _search(obj, x_seeds, budget, restarts, seed, target)
+        _project_phase(ph.values, d1, k), x_seeds[0][ans_f.dim:]]))
+    return _search(obj, d1, d2, x_seeds, budget, restarts, seed)
 
 
 def estimate_point_to_class(f, d2, index, k=32, budget=2000, restarts=8,
                             seed=0, m_obj=4096):
     """One-sided estimate of inf over the degree-d2 class of |f - g|,
-    with f held fixed."""
+    with f held fixed; the class distance is a lower bound for any fixed f
+    in its class, and is the reported target."""
+    _check_search(k, budget)
     d1 = grid.degree_winding(f)
-    base = _PeriodicPart(f, d1)
-    ans_g = PhaseAnsatz(d2, k, base=base)
-    obj = _Objective(index, ans_g, f_phase=base.pm, m_obj=m_obj)
-    x_seeds = _one_sided_seeds(d1, d2, k)
-    # the class distance is a lower bound for any fixed f in the class
-    target = w1p_formula(index.p, d1, d2) if index.s == 1.0 else 0.0
-    return _search(obj, x_seeds, budget, restarts, seed, target)
-
-
-def max_phase_derivative(ans, x, m=8192):
-    return float(np.max(np.abs(ans.sample(x, m)[1])))
+    obj = _Objective(index, PhaseAnsatz(d2, k),
+                     f_phase=f.phase or grid.phase_model_from_map(f),
+                     m_obj=m_obj)
+    return _search(obj, d1, d2, _one_sided_seeds(d1, d2, k), budget,
+                   restarts, seed)
 
 
 def gauge_aligned_l2(f_opt, g_opt, f_ref, g_ref):
@@ -474,14 +447,14 @@ def gauge_aligned_l2(f_opt, g_opt, f_ref, g_ref):
     return best
 
 
-def attainment_probe(d1, p, budget=2000, k=32, seed=0, restarts=3,
-                     m_obj=2048):
+def attainment_probe(d1, p, budget=2000, k=32, seed=0):
     """Probe whether the W^{1,p} class-distance infimum is attained.
 
     p = 1: evaluates the exact zigzag witness (attained).  1 < p < 2: runs
     against d2 = -d1 and reports the gauge-aligned closeness to the explicit
     minimizer (attained).  p >= 2: runs (d1, 0) at two budgets and reports
     the growth of max|psi'| (concentration = non-attainment signature).
+    Each search takes 3 runs on a 2048-node objective grid.
     """
     if p <= 1.0:
         pair = gallery.zigzag_pair(d1, 0)
@@ -492,8 +465,8 @@ def attainment_probe(d1, p, budget=2000, k=32, seed=0, restarts=3,
     if p < 2.0:
         d2 = -d1
         rep = estimate_inf_distance(grid.power_map(d1), d2, index, k=k,
-                                    budget=budget, seed=seed,
-                                    restarts=restarts, m_obj=m_obj)
+                                    budget=budget, seed=seed, restarts=3,
+                                    m_obj=2048)
         ans_f, ans_g = PhaseAnsatz(d1, k), PhaseAnsatz(d2, k)
         xf, xg = rep.params[: ans_f.dim], rep.params[ans_f.dim:]
         ref = gallery.attainment_pair(d1, p)
@@ -506,11 +479,11 @@ def attainment_probe(d1, p, budget=2000, k=32, seed=0, restarts=3,
     for mult, kk in ((1, k), (4, 4 * k)):
         rep = estimate_inf_distance(grid.power_map(d1), 0, index, k=kk,
                                     budget=mult * budget, seed=seed,
-                                    restarts=restarts, m_obj=m_obj)
+                                    restarts=3, m_obj=2048)
         ans_f, ans_g = PhaseAnsatz(d1, kk), PhaseAnsatz(0, kk)
         xf, xg = rep.params[: ans_f.dim], rep.params[ans_f.dim:]
-        sharp = max(max_phase_derivative(ans_f, xf),
-                    max_phase_derivative(ans_g, xg))
+        sharp = max(float(np.max(np.abs(ans.sample(x, 8192)[1])))
+                    for ans, x in ((ans_f, xf), (ans_g, xg)))
         stages.append({"budget": mult * budget, "k": kk, "value": rep.value,
                        "max_dpsi": sharp, "gap_rel": rep.gap_rel})
     return {"p": p, "value": stages[-1]["value"],

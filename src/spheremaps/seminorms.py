@@ -6,12 +6,13 @@ ratio, see calibration_ratio.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid
-from .errors import GridMismatch, IndexOutOfRange, NotACircleMap
+from .errors import IndexOutOfRange, NotACircleMap
 from .grid import PI, TWO_PI, CircleMap, SobolevIndex
 
 
@@ -29,11 +30,8 @@ def _values(h):
 
 def _resolve_phases(f, g, derivs=None):
     """Phase models for (f, g): supplied, attached, or spline-fitted."""
-    pf = pg = None
-    if derivs is not None:
-        pf, pg = derivs
-    pf = pf or f.phase
-    pg = pg or g.phase
+    pf, pg = (None, None) if derivs is None else derivs
+    pf, pg = pf or f.phase, pg or g.phase
     if pf is None and pg is None:
         return None, None  # both smooth-sampled: caller uses spectral route
     if pf is None:
@@ -58,8 +56,7 @@ def w1p_distance(f, g, p, derivs=None):
     are integrated segment-by-segment between their breakpoints, so kinks
     cost no accuracy.  Smooth sampled maps fall back to spectral derivatives.
     """
-    if f.m != g.m:
-        raise GridMismatch(f"grids differ: {f.m} vs {g.m}")
+    grid.require_same_grid(f, g)
     if p < 1:
         raise IndexOutOfRange(f"need p >= 1, got {p}")
     pf, pg = _resolve_phases(f, g, derivs)
@@ -86,8 +83,7 @@ def w1p_distance(f, g, p, derivs=None):
 
 def sup_distance(f, g):
     """max_j |f_j - g_j| (the L^infty distance on the grid)."""
-    if f.m != g.m:
-        raise GridMismatch(f"grids differ: {f.m} vs {g.m}")
+    grid.require_same_grid(f, g)
     return float(np.max(np.abs(f.samples - g.samples)))
 
 
@@ -100,6 +96,12 @@ def h_half_seminorm_sq(h):
     a = np.fft.fft(v) / v.size
     return float(4.0 * PI ** 2 * np.sum(_abs_modes(v.size)
                                         * np.abs(a) ** 2))
+
+
+def h_half_distance(f, g=None):
+    """|f - g| in the Fourier H^{1/2} form (|f| when g is None); f and g
+    are circle maps or plain grid functions."""
+    return math.sqrt(h_half_seminorm_sq(_difference(f, g)))
 
 
 # one size only: a search calls this thousands of times at one m, and a
@@ -301,7 +303,7 @@ METHODS = {
             _difference(h, g), index.s, index.p)),
     "fourier_h_half": (
         "fourier", lambda s, p: (s, p) == (0.5, 2.0),
-        lambda h, g, index: np.sqrt(h_half_seminorm_sq(_difference(h, g)))),
+        lambda h, g, index: h_half_distance(h, g)),
     "sup_norm": ("sup", lambda s, p: s <= 1.0, _sup_method),
 }
 

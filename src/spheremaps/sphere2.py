@@ -18,10 +18,7 @@ from . import gallery
 from .grid import PI, TWO_PI
 
 NORTH = np.array([0.0, 0.0, 1.0])
-
-
-def default_nphi():
-    return 128
+DEFAULT_NPHI = 128  # rows of a grid when none is given
 
 
 @dataclass(frozen=True)
@@ -53,15 +50,18 @@ class Sphere2Map:
     def lam(self):
         return TWO_PI * np.arange(self.n_lam) / self.n_lam
 
+    def _row_edges(self):
+        return np.concatenate(([0.0], 0.5 * (self.phi[1:] + self.phi[:-1]),
+                               [PI]))
+
     def row_areas(self):
         """Exact area of each cell row (length n_phi); total is 4*pi."""
-        b = np.concatenate(([0.0], 0.5 * (self.phi[1:] + self.phi[:-1]), [PI]))
+        b = self._row_edges()
         return (np.cos(b[:-1]) - np.cos(b[1:])) * TWO_PI / self.n_lam
 
     def row_widths(self):
         """Coordinate width of each cell row in phi."""
-        b = np.concatenate(([0.0], 0.5 * (self.phi[1:] + self.phi[:-1]), [PI]))
-        return np.diff(b)
+        return np.diff(self._row_edges())
 
 
 def uniform_rows(n_phi):
@@ -76,13 +76,26 @@ def geometric_rows(r_min, n_phi):
 def from_function(fn, phi=None, n_phi=None, n_lam=None):
     """Sample fn(phi_grid, lam_grid) -> (..., 3) into a Sphere2Map."""
     if phi is None:
-        n_phi = default_nphi() if n_phi is None else n_phi
+        n_phi = DEFAULT_NPHI if n_phi is None else n_phi
         phi = uniform_rows(n_phi)
     n_lam = 2 * phi.size if n_lam is None else n_lam
     lam = TWO_PI * np.arange(n_lam) / n_lam
     v = fn(phi[:, None], lam[None, :])
     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
     return Sphere2Map(phi, v)
+
+
+def _radial(F, w):
+    """The points (sin(F) w, cos(F)) of S^2 for polar angles F and unit
+    complex numbers w, broadcast against each other."""
+    s = np.sin(F)
+    return np.stack(np.broadcast_arrays(s * w.real, s * w.imag, np.cos(F)),
+                    axis=-1)
+
+
+def _grid_points(phi, lam):
+    """Unit vectors at colatitudes phi and longitudes lam, broadcast."""
+    return _radial(phi, np.exp(1j * lam))
 
 
 def _spectral_d(v, axis, length):
@@ -149,7 +162,7 @@ def h1_distance(f, g):
     return float(np.sqrt(dirichlet_energy(f, f.values - g.values)))
 
 
-def stereographic_power(d, n_phi=None, n_lam=None):
+def stereographic_power(d, n_phi=None):
     """T^{-1}((T(s))^d) with T the stereographic projection from the north
     pole; degree d, Dirichlet energy 8*pi*|d|.
 
@@ -165,7 +178,7 @@ def stereographic_power(d, n_phi=None, n_lam=None):
         return np.stack([2.0 * w.real / den, 2.0 * w.imag / den,
                          (np.abs(w) ** 2 - 1.0) / den], axis=-1)
 
-    return from_function(fn, n_phi=n_phi, n_lam=n_lam)
+    return from_function(fn, n_phi=n_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +188,18 @@ def stereographic_power(d, n_phi=None, n_lam=None):
 class SuspensionSpec:
     """Radial suspension data: profile F on [0, R] with F(0) = 0, F(R) = k*pi,
     locally constant at both ends; equatorial map of degree h_degree applied
-    in the exponential chart at center."""
+    in the exponential chart at the north pole."""
 
     F: Callable
     k: int
     h_degree: int
-    center: np.ndarray = None
     R: float = 0.9
 
 
-def default_profile(k, R):
-    return lambda r: k * PI * gallery.smoothstep(np.asarray(r, float) / R)
-
-
-def default_suspension(k, dh, R=0.9, center=None):
-    return SuspensionSpec(default_profile(k, R), int(k), int(dh),
-                          center=center, R=R)
+def default_suspension(k, dh):
+    """Profile F(r) = k*pi*smoothstep(r/R) on the default radius R."""
+    return SuspensionSpec(lambda r: k * PI * gallery.smoothstep(
+        np.asarray(r, float) / SuspensionSpec.R), int(k), int(dh))
 
 
 def _chart_basis(center):
@@ -205,20 +214,18 @@ def _chart_basis(center):
 
 def _suspension_values(spec, points):
     """Evaluate the suspension at an array (..., 3) of sphere points."""
-    c, e1, e2 = _chart_basis(spec.center if spec.center is not None else NORTH)
+    c, e1, e2 = _chart_basis(NORTH)
     dots = np.clip(points @ c, -1.0, 1.0)
     r = np.arccos(dots)
     alpha = np.arctan2(points @ e2, points @ e1)
-    fr = spec.F(np.minimum(r, spec.R))
-    w = np.exp(1j * spec.h_degree * alpha)
-    out = np.stack([np.sin(fr) * w.real, np.sin(fr) * w.imag, np.cos(fr)],
-                   axis=-1)
+    out = _radial(spec.F(np.minimum(r, spec.R)),
+                  np.exp(1j * spec.h_degree * alpha))
     outside = r >= spec.R
     out[outside] = np.array([0.0, 0.0, np.cos(spec.k * PI)])
     return out
 
 
-def suspension(spec, n_phi=None, n_lam=None):
+def suspension(spec, n_phi=None):
     """Build the suspension map (sin F(r) h(angle), cos F(r)) on a grid.
 
     Degree is k*deg(h) for k odd and 0 for k even (N = 2 parity rule).
@@ -233,13 +240,9 @@ def suspension(spec, n_phi=None, n_lam=None):
             abs(float(np.asarray(spec.F(spec.R - eps))) - fr) > 1e-9:
         raise InvalidProfile("profile is not locally constant at its endpoints")
 
-    def fn(phi, lam):
-        pts = np.stack([np.sin(phi) * np.cos(lam) + 0.0 * lam,
-                        np.sin(phi) * np.sin(lam) + 0.0 * lam,
-                        np.cos(phi) + 0.0 * lam], axis=-1)
-        return _suspension_values(spec, pts)
-
-    return from_function(fn, n_phi=n_phi, n_lam=n_lam)
+    return from_function(
+        lambda phi, lam: _suspension_values(spec, _grid_points(phi, lam)),
+        n_phi=n_phi)
 
 
 def antipode(f):
@@ -249,13 +252,6 @@ def antipode(f):
 
 # ---------------------------------------------------------------------------
 # bump constructions on S^2
-
-def _grid_points(phi, n_lam):
-    lam = TWO_PI * np.arange(n_lam) / n_lam
-    p, l = phi[:, None], lam[None, :]
-    return np.stack([np.sin(p) * np.cos(l), np.sin(p) * np.sin(l),
-                     np.cos(p) + 0.0 * l], axis=-1)
-
 
 def _insert_bump(values, points, center, radius, up_degree):
     """Overwrite a geodesic disc (where values must be (0,0,1)) with a
@@ -269,10 +265,7 @@ def _insert_bump(values, points, center, radius, up_degree):
     alpha = np.arctan2(points @ e2, points @ e1)
     prof = PI * (1.0 - gallery.smoothstep(r / radius))  # pi at center, 0 at edge
     dh = -int(np.sign(up_degree))  # chart formula gives deg = -dh per turn
-    w = np.exp(1j * dh * alpha)
-    bump = np.stack([np.sin(prof) * w.real, np.sin(prof) * w.imag,
-                     np.cos(prof)], axis=-1)
-    values[mask] = bump[mask]
+    values[mask] = _radial(prof, np.exp(1j * dh * alpha))[mask]
 
 
 def multi_bump_s2(d, n, n_phi=None):
@@ -293,7 +286,7 @@ def multi_bump_s2(d, n, n_phi=None):
             " or a smaller n")
     phi = uniform_rows(n_phi)
     n_lam = 2 * n_phi
-    points = _grid_points(phi, n_lam)
+    points = _grid_points(phi[:, None], TWO_PI * np.arange(n_lam) / n_lam)
     values = np.tile(NORTH, (n_phi, n_lam, 1))
     for j in range(k):
         ang = TWO_PI * j / k
@@ -310,12 +303,8 @@ def bump_pair_s2(prof, n_phi=None):
     n_lam = 64
 
     def make(profile):
-        def fn(p, l):
-            fr = profile(p)
-            return np.stack([np.sin(fr) * np.cos(l), np.sin(fr) * np.sin(l),
-                             np.cos(fr) + 0.0 * l], axis=-1)
-
-        return from_function(fn, phi=phi, n_lam=n_lam)
+        return from_function(lambda p, l: _radial(profile(p), np.exp(1j * l)),
+                             phi=phi, n_lam=n_lam)
 
     f, g = make(prof.F), make(prof.G)
     return gallery.GalleryPair(f, g, {"eps": prof.eps, "n_dim": 2},
@@ -346,10 +335,7 @@ def vo1_pair(d1, d2, n_phi=None, R=0.9):
     def make(profile, winding):
         def fn(p, l):
             rr = np.minimum(p, R) + 0.0 * l
-            fr = profile(rr)
-            out = np.stack([np.sin(fr) * np.cos(winding * l),
-                            np.sin(fr) * np.sin(winding * l),
-                            np.cos(fr)], axis=-1)
+            out = _radial(profile(rr), np.exp(1j * (winding * l)))
             outside = (p + 0.0 * l) >= R
             out[outside] = np.array([0.0, 0.0, float(np.cos(profile(R)))])
             return out
@@ -359,7 +345,7 @@ def vo1_pair(d1, d2, n_phi=None, R=0.9):
     f, g = make(F, d), make(G, d)
     if d2 != 0:
         phi = f.phi
-        points = _grid_points(phi, f.n_lam)
+        points = _grid_points(phi[:, None], f.lam)
         vf, vg = f.values.copy(), g.values.copy()
         k2 = abs(d2)
         ring, radius = R / 6.0, min(0.06, R / 12.0)

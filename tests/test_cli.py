@@ -125,6 +125,16 @@ MISUSE = [
      "--p", "2", "--budget", "0"),
     ("optimize", "--from", "power:d=0", "--to-class", "1", "--s", "1",
      "--p", "2", "--budget", "-1", "--one-sided"),
+    ("optimize", "--from", "power:d=0", "--to-class", "1", "--s", "1",
+     "--p", "2", "--k", "0"),
+    ("optimize", "--from", "power:d=0", "--to-class", "1", "--s", "1",
+     "--p", "2", "--k", "-1"),
+    ("optimize", "--from", "power:d=0", "--to-class", "1", "--s", "1",
+     "--p", "2", "--k", "0", "--one-sided"),
+    ("seminorm", "--map", "power:d=2", "--s", "1", "--p", "inf",
+     "--method", "w1p"),
+    ("optimize", "--from", "power:d=0", "--to-class", "1", "--s", "1",
+     "--p", "inf"),
 ]
 
 
@@ -136,6 +146,23 @@ class TestMisuse:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text", [
+        None, "theta,re,im\n", "theta,re\n" + "0,1\n" * 16],
+        ids=["directory", "header-only", "two-columns"])
+    def test_bad_csv_map_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "map.csv"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        assert cli.main(["degree", "--map", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        if text is not None:
+            assert "theta,re,im" in err
 
     def test_unknown_name_message_has_no_quotes(self, capsys):
         assert cli.main(["degree", "--map", "nosuch:d=1"]) == 2
@@ -285,14 +312,3 @@ class TestDeterminism:
         data = path.read_bytes()
         assert b"\r" not in data
         assert data.endswith(b"\n")
-
-    def test_grid_env_override(self):
-        import os
-
-        env = dict(os.environ, HG_GRID_M="2048")
-        r = subprocess.run(
-            [sys.executable, "-c",
-             "from spheremaps import grid; print(grid.power_map(1).m)"],
-            capture_output=True, text=True, env=env)
-        assert r.returncode == 0
-        assert r.stdout.strip() == "2048"

@@ -28,10 +28,6 @@ class TestNodesAndModes:
         assert n.max() == 8
         assert n.min() == -7
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HG_GRID_M", "1024")
-        assert grid.default_m() == 1024
-
 
 class TestLiftAndWinding:
     @pytest.mark.parametrize("d", [-3, -1, 0, 1, 2, 5])
