@@ -262,25 +262,24 @@ def require_smooth(values):
             "decay); supply analytic derivatives")
 
 
-def phase_model_from_map(f):
-    """Fit a periodic cubic-spline phase model to a smooth sampled map.
+def phase_on_grid(f, m=None):
+    """(phase, phase', winding) of f on nodes(m), f's own grid by default.
 
-    The lifted phase is split into its winding part d*theta and a periodic
-    remainder, which is splined.  When the remainder is not resolved as a
-    smooth function (require_smooth) MissingDerivative is raised: supply the
-    analytic phase instead.
+    A phase model is evaluated, its derivative patched where non-finite.  A
+    sampled map is lifted; its periodic part phi - d*theta must pass
+    require_smooth and is resampled spectrally with its derivative
+    (zero-padded, or truncated below min(f.m, m)/2) by one inverse FFT.
     """
-    from scipy.interpolate import CubicSpline
-
+    m = f.m if m is None else m
+    t, pm = nodes(m), f.phase
+    if pm is not None:
+        return pm.value(t), patch_nonfinite(pm.deriv(t), t), pm.winding
     ph = lift(f)
-    d = ph.winding
-    t = f.theta
-    periodic = ph.values - d * t
+    periodic = ph.values - ph.winding * f.theta
     require_smooth(periodic)
-    ts = np.concatenate((t, [TWO_PI]))
-    ys = np.concatenate((periodic, [periodic[0]]))
-    sp = CubicSpline(ts, ys, bc_type="periodic")
-    dsp = sp.derivative()
-    return phase_model(lambda x: sp(np.mod(x, TWO_PI)) + d * x,
-                       lambda x: dsp(np.mod(x, TWO_PI)) + d,
-                       winding=d)
+    n = fourier_modes(m)
+    keep = np.abs(n) < min(f.m, m) // 2
+    spec = np.zeros(m, dtype=complex)  # the derivative packed as i * imag
+    spec[keep] = np.fft.fft(periodic)[n[keep]] / f.m * (1 - n[keep])
+    z = np.fft.ifft(spec, norm="forward")
+    return ph.winding * t + z.real, ph.winding + z.imag, ph.winding

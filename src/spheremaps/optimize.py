@@ -232,13 +232,13 @@ class _Objective:
     Quadrature is the uniform trapezoid rule at m_obj nodes (all ansatz maps
     are smooth); the H^{1/2} branch uses the exact mode sum of the sampled
     difference.  Each moving block is synthesized by PhaseAnsatz.sample and
-    its gradient pulled back by PhaseAnsatz.pullback.  With a fixed f
-    (f_phase, its phase model) g's ansatz moves on top of f's periodic part
-    phi_f - d1 theta, so the search only has to move the slow component; f's
-    phase and that shift are sampled once here.
+    its gradient pulled back by PhaseAnsatz.pullback.  With a fixed map f
+    g's ansatz moves on top of f's periodic part phi_f - d1 theta, so the
+    search only has to move the slow component; f's phase (grid.phase_on_grid)
+    and that shift are sampled once here, and d1 is kept.
     """
 
-    def __init__(self, index, ans_g, ans_f=None, f_phase=None, m_obj=4096):
+    def __init__(self, index, ans_g, ans_f=None, f=None, m_obj=4096):
         self.index = index
         self.h_half = index.s == 0.5 and index.p == 2.0
         if not self.h_half and index.s != 1.0:
@@ -248,13 +248,10 @@ class _Objective:
         if self.h_half:
             self.abs_modes = seminorms._abs_modes(m_obj)
         self.ans_g, self.ans_f = ans_g, ans_f
-        if f_phase is not None:
-            t = grid.nodes(m_obj)
-            fphi = f_phase.value(t)
-            fder = grid.patch_nonfinite(f_phase.deriv(t), t)
+        if f is not None:
+            fphi, fder, self.d1 = grid.phase_on_grid(f, m_obj)
             self.f_fixed = (fphi, fder)
-            self.g_shift = (fphi - f_phase.winding * t,
-                            fder - f_phase.winding)
+            self.g_shift = (fphi - self.d1 * _nodes(m_obj), fder - self.d1)
 
     def __call__(self, x):
         xg = x[-self.ans_g.dim:]
@@ -423,11 +420,8 @@ def estimate_point_to_class(f, d2, index, k=32, budget=2000, restarts=8,
     with f held fixed; the class distance is a lower bound for any fixed f
     in its class, and is the reported target."""
     _check_search(k, budget)
-    d1 = grid.degree_winding(f)
-    obj = _Objective(index, PhaseAnsatz(d2, k),
-                     f_phase=f.phase or grid.phase_model_from_map(f),
-                     m_obj=m_obj)
-    return _search(obj, d1, d2, _one_sided_seeds(d1, d2, k), budget,
+    obj = _Objective(index, PhaseAnsatz(d2, k), f=f, m_obj=m_obj)
+    return _search(obj, obj.d1, d2, _one_sided_seeds(obj.d1, d2, k), budget,
                    restarts, seed)
 
 

@@ -7,12 +7,12 @@ ratio, see calibration_ratio.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import grid
-from .errors import IndexOutOfRange, NotACircleMap
+from .errors import IndexOutOfRange, MissingDerivative, NotACircleMap
 from .grid import PI, TWO_PI, CircleMap, SobolevIndex
 
 
@@ -28,57 +28,64 @@ def _values(h):
     return h.samples if isinstance(h, CircleMap) else np.asarray(h)
 
 
-def _resolve_phases(f, g, derivs=None):
-    """Phase models for (f, g): supplied, attached, or spline-fitted."""
-    pf, pg = (None, None) if derivs is None else derivs
-    pf, pg = pf or f.phase, pg or g.phase
-    if pf is None and pg is None:
-        return None, None  # both smooth-sampled: caller uses spectral route
-    if pf is None:
-        pf = grid.phase_model_from_map(f)
-    if pg is None:
-        pg = grid.phase_model_from_map(g)
-    return pf, pg
+def _with_derivs(f, g, derivs):
+    """f and g with the phase models of derivs (pf, pg) attached where given."""
+    return tuple(h if pm is None else replace(h, phase=pm)
+                 for h, pm in zip((f, g), derivs or (None, None)))
 
 
-def _phase_integrand(pf, pg, t, p):
-    dphi = pf.deriv(t)
-    dpsi = pg.deriv(t)
+def _grid_derivative(h):
+    """h' on its grid: i phi' h from a smooth phase model, else the spectral
+    derivative of the samples."""
+    if h.phase is None:
+        grid.require_smooth(h.samples)
+        return grid.spectral_derivative(h.samples)
+    if h.phase.breakpoints.size:
+        raise MissingDerivative("a kinked phase model cannot be "
+                                "differentiated on the grid; pass derivs")
+    return 1j * grid.phase_on_grid(h)[1] * h.samples
+
+
+def _speed_gap(pf, pg, t):
+    """|f' - g'| at t from the phases: f'^2 + g'^2 - 2 f'g' cos(phi - psi)."""
+    dphi, dpsi = pf.deriv(t), pg.deriv(t)
     gap = pf.value(t) - pg.value(t)
     sq = dphi ** 2 + dpsi ** 2 - 2.0 * dphi * dpsi * np.cos(gap)
-    return grid.patch_nonfinite(np.maximum(sq, 0.0)) ** (p / 2.0)
+    return np.sqrt(grid.patch_nonfinite(np.maximum(sq, 0.0)))
 
 
 def w1p_distance(f, g, p, derivs=None):
     """( int |f' - g'|^p )^{1/p} over S^1.
 
-    Piecewise-smooth phases (supplied via derivs, or attached to the maps)
-    are integrated segment-by-segment between their breakpoints, so kinks
-    cost no accuracy.  Smooth sampled maps fall back to spectral derivatives.
+    When both maps have phase models (attached, or given in derivs) the
+    integral runs segment by segment between their breakpoints, so kinks
+    cost no accuracy; otherwise it is the trapezoid rule on the grid nodes.
+    |f' - g'| is scaled by its maximum before the power: no p overflows.
     """
     grid.require_same_grid(f, g)
     if p < 1:
         raise IndexOutOfRange(f"need p >= 1, got {p}")
-    pf, pg = _resolve_phases(f, g, derivs)
-    if pf is None:
-        grid.require_smooth(f.samples)
-        grid.require_smooth(g.samples)
-        dv = grid.spectral_derivative(f.samples) - grid.spectral_derivative(g.samples)
-        integral = float(np.mean(np.abs(dv) ** p)) * TWO_PI
-        return integral ** (1.0 / p)
-
-    edges = np.concatenate(([0.0], pf.breakpoints, pg.breakpoints, [TWO_PI]))
-    edges = np.unique(edges)
-    base = f.theta
-    integral = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < 1e-14:
-            continue
-        nudge = 1e-9 * (b - a)
-        inner = base[(base > a + nudge) & (base < b - nudge)]
-        t = np.concatenate(([a + nudge], inner, [b - nudge]))
-        integral += np.trapezoid(_phase_integrand(pf, pg, t, p), t)
-    return integral ** (1.0 / p)
+    f, g = _with_derivs(f, g, derivs)
+    pf, pg = f.phase, g.phase
+    if pf is None or pg is None:
+        v = np.abs(_grid_derivative(f) - _grid_derivative(g))
+        v, x = np.append(v, v[0]), np.append(f.theta, TWO_PI)
+    else:
+        edges = np.unique(np.concatenate(
+            ([0.0], pf.breakpoints, pg.breakpoints, [TWO_PI])))
+        base, ts, xs = f.theta, [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            if b - a < 1e-14:
+                continue
+            nudge = 1e-9 * (b - a)  # evaluate just inside, integrate to ends
+            lo = np.searchsorted(base, a + nudge, "right")
+            inner = base[lo:np.searchsorted(base, b - nudge)]
+            ts.append(np.concatenate(([a + nudge], inner, [b - nudge])))
+            xs.append(np.concatenate(([a], inner, [b])))
+        # segments share their ends, so the joins are panels of width 0
+        v, x = _speed_gap(pf, pg, np.concatenate(ts)), np.concatenate(xs)
+    top = np.max(v)
+    return top * np.trapezoid((v / top) ** p, x) ** (1 / p) if top else 0.0
 
 
 def sup_distance(f, g):
@@ -245,17 +252,12 @@ def calibration_ratio(m=8192):
 def pointwise_identity_check(f, g, derivs=None):
     """Max residual of |f'-g'|^2 = cos^2((phi-psi)/2)(phi'-psi')^2
     + sin^2((phi-psi)/2)(phi'+psi')^2 over the grid."""
-    pf, pg = _resolve_phases(f, g, derivs)
-    if pf is None:
-        # smooth sampled pair: sample-derivative route on the grid nodes vs
-        # the spline phase route
-        pf = grid.phase_model_from_map(f)
-        pg = grid.phase_model_from_map(g)
-        t = f.theta
-        lhs = np.abs(grid.spectral_derivative(f.samples)
-                     - grid.spectral_derivative(g.samples)) ** 2
-        phi, psi = pf.value(t), pg.value(t)
-        dphi, dpsi = pf.deriv(t), pg.deriv(t)
+    f, g = _with_derivs(f, g, derivs)
+    pf, pg = f.phase, g.phase
+    if pf is None or pg is None:
+        # a sampled map: the grid derivatives against the phases on the nodes
+        lhs = np.abs(_grid_derivative(f) - _grid_derivative(g)) ** 2
+        (phi, dphi, _), (psi, dpsi, _) = map(grid.phase_on_grid, (f, g))
     else:
         t = f.theta + 0.5 * TWO_PI / f.m  # midpoints dodge on-node breakpoints
         for b in np.concatenate((pf.breakpoints, pg.breakpoints)):

@@ -294,6 +294,25 @@ class TestColdStart:
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "False False"
 
+    def test_seminorms_of_sampled_maps_never_import_scipy(self, tmp_path):
+        path = tmp_path / "map.csv"
+        t = grid.nodes(256)
+        v = np.exp(1j * (t + 0.3 * np.sin(2 * t)))
+        path.write_text("theta,re,im\n" + "".join(
+            f"{a:.17g},{z.real:.17g},{z.imag:.17g}\n" for a, z in zip(t, v)))
+        code = ("import sys\n"
+                "from spheremaps import cli\n"
+                f"assert cli.main(['seminorm', '--map', {str(path)!r}, "
+                "'--s', '1', '--p', '2']) == 0\n"
+                "assert cli.main(['seminorm', '--map', "
+                "'blaschke:d=1,delta=0.2', '--s', '1', '--p', '1']) == 0\n"
+                "print('scipy.optimize' in sys.modules, "
+                "'scipy.interpolate' in sys.modules)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "False False"
+
 
 class TestDeterminism:
     def test_byte_stable_output(self, tmp_path):

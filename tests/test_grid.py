@@ -190,18 +190,31 @@ class TestDegreeAlgebraProperties:
         assert abs(grid.degree_fourier(f) - d) < 1e-2
 
 
-class TestPhaseModelFit:
-    def test_smooth_map_fit_matches_derivative(self):
-        t = grid.nodes(4096)
+class TestPhaseOnGrid:
+    def test_sampled_map_derivative_is_spectral(self):
+        # phase' of a sampled map on its own grid, refined (zero-padded)
+        # and coarsened (truncated), against the analytic one
+        t = grid.nodes(1024)
         f = grid.from_samples(np.exp(1j * (t + 0.3 * np.sin(2 * t))))
-        pm = grid.phase_model_from_map(f)
-        mid = t + np.pi / 4096
-        assert np.allclose(pm.deriv(mid), 1 + 0.6 * np.cos(2 * mid),
-                           atol=1e-6)
+        for m in (1024, 2048, 512):
+            tm = grid.nodes(m)
+            phi, dphi, d = grid.phase_on_grid(f, m)
+            assert d == 1
+            assert np.max(np.abs(dphi - (1 + 0.6 * np.cos(2 * tm)))) < 1e-12
+            exact = np.exp(1j * (tm + 0.3 * np.sin(2 * tm)))
+            assert np.max(np.abs(np.exp(1j * phi) - exact)) < 1e-12
 
     def test_rough_map_rejected(self):
         from spheremaps.errors import MissingDerivative
         t = grid.nodes(4096)
         rough = np.exp(1j * (t + 0.5 * np.sign(np.sin(9 * t))))
         with pytest.raises(MissingDerivative):
-            grid.phase_model_from_map(grid.from_samples(rough))
+            grid.phase_on_grid(grid.from_samples(rough))
+
+    def test_phase_model_is_evaluated(self):
+        f = gallery.oscillator(1, 6)
+        t = grid.nodes(512)
+        phi, dphi, d = grid.phase_on_grid(f, 512)
+        assert d == f.phase.winding == 1
+        assert np.array_equal(phi, f.phase.value(t))
+        assert np.array_equal(dphi, grid.patch_nonfinite(f.phase.deriv(t), t))

@@ -149,7 +149,7 @@ def _direct_objective(index, x, ans_g, ans_f=None, f=None, m=1024):
     xg = x[-ans_g.dim:]
     gphi, gder = ans_g.phase(t, xg), ans_g.deriv(t, xg)
     if ans_f is None:
-        pm = f.phase or grid.phase_model_from_map(f)
+        pm = f.phase
         fphi, fder = pm.value(t), pm.deriv(t)
         gphi = gphi + fphi - pm.winding * t
         gder = gder + fder - pm.winding
@@ -190,10 +190,7 @@ class TestGridSynthesis:
 class TestObjective:
     @staticmethod
     def _check(index, ans_g, ans_f=None, f=None, seed=0):
-        f_phase = None if f is None else (
-            f.phase or grid.phase_model_from_map(f))
-        obj = optimize._Objective(index, ans_g, ans_f=ans_f, f_phase=f_phase,
-                                  m_obj=1024)
+        obj = optimize._Objective(index, ans_g, ans_f=ans_f, f=f, m_obj=1024)
         dim = ans_g.dim + (0 if ans_f is None else ans_f.dim)
         rng = np.random.default_rng(seed)
         for _ in range(3):
@@ -243,8 +240,7 @@ class TestGradient:
     def test_one_sided_with_periodic_base(self, index):
         ans_g = optimize.PhaseAnsatz(0, 8)
         obj = optimize._Objective(index, ans_g,
-                                  f_phase=gallery.oscillator(1, 6).phase,
-                                  m_obj=512)
+                                  f=gallery.oscillator(1, 6), m_obj=512)
         self._check(obj, ans_g.dim, seed=4)
 
     @pytest.mark.parametrize("winding", [-2, 0, 3])
@@ -359,20 +355,24 @@ class TestLazyScipy:
 def test_point_to_class_fits_a_sampled_map_once(monkeypatch):
     t = grid.nodes(1024)
     f = grid.from_samples(np.exp(1j * (t + 0.3 * np.sin(2.0 * t))))
-    fits = []
-    fit = grid.phase_model_from_map
+    lifts = []
+    lift = grid.lift
 
     def counting(g, *args, **kwargs):
-        fits.append(1)
-        return fit(g, *args, **kwargs)
+        lifts.append(1)
+        return lift(g, *args, **kwargs)
 
-    monkeypatch.setattr(grid, "phase_model_from_map", counting)
-    kwargs = dict(k=4, budget=40, restarts=0, m_obj=256)
-    rep = optimize.estimate_point_to_class(f, 0, SobolevIndex(1.0, 1.0),
-                                           **kwargs)
-    assert len(fits) == 1
-    fitted = grid.CircleMap(f.samples, phase=fit(f))
-    ref = optimize.estimate_point_to_class(fitted, 0, SobolevIndex(1.0, 1.0),
-                                           **kwargs)
-    assert len(fits) == 1
-    assert rep.value == ref.value
+    monkeypatch.setattr(grid, "lift", counting)
+    rep = optimize.estimate_point_to_class(f, 0, SobolevIndex(1.0, 1.0), k=4,
+                                           budget=40, restarts=0, m_obj=256)
+    assert len(lifts) == 1
+    assert np.isfinite(rep.value) and rep.target == 4.0
+    # the spectral phase of the samples stands in for the analytic one
+    exact = grid.CircleMap(f.samples, phase=grid.phase_model(
+        lambda t: t + 0.3 * np.sin(2.0 * t),
+        lambda t: 1.0 + 0.6 * np.cos(2.0 * t), winding=1))
+    ans = optimize.PhaseAnsatz(0, 4)
+    x = 0.2 * np.random.default_rng(0).standard_normal(ans.dim)
+    got, want = (optimize._Objective(SobolevIndex(1.0, 1.0), ans, f=h,
+                                     m_obj=256)(x)[0] for h in (f, exact))
+    assert abs(got - want) <= 1e-12 * want

@@ -24,7 +24,8 @@ class TestW1p:
         f = grid.power_map(d)
         g = grid.power_map(0)
         val = seminorms.w1p_distance(f, g, p)
-        assert abs(val - (TWO_PI * abs(d) ** p) ** (1.0 / p)) < 1e-6
+        exact = (TWO_PI * abs(d) ** p) ** (1.0 / p)
+        assert abs(val - exact) <= 1e-13 * exact
 
     def test_phase_formula_against_complex_arithmetic(self):
         # |f' - g'|^2 = phi'^2 + psi'^2 - 2 phi' psi' cos(phi - psi)
@@ -75,6 +76,49 @@ class TestW1p:
         f, g = grid.power_map(1, 1024), grid.power_map(-1, 1024)
         assert (abs(seminorms.w1p_distance(f, g, p)
                     - seminorms.w1p_distance(g, f, p)) < 1e-12)
+
+
+class TestW1pSampled:
+    """W^{1,p} with a sampled map: spectral derivatives on the grid."""
+
+    @pytest.mark.parametrize("m", [1024, 4096])
+    @pytest.mark.parametrize("d,delta", [(1, 0.2), (2, 0.5), (-3, 0.2)])
+    def test_blaschke_closed_forms(self, d, delta, m):
+        # |h'| = |d| (1 - a^2) / |z - a|^2 with a = 1 - delta
+        h = gallery.blaschke_pow(d, delta, m)
+        a = 1.0 - delta
+        for p, exact in ((1.0, TWO_PI * abs(d)), (2.0, abs(d) * math.sqrt(
+                TWO_PI * (1 + a * a) / (1 - a * a)))):
+            val = seminorms.seminorm(h, SobolevIndex(1.0, p),
+                                     "w1p_quadrature").value
+            assert abs(val - exact) <= 1e-13 * exact
+
+    def test_kinked_partner_needs_derivs(self):
+        from spheremaps.errors import MissingDerivative
+        pm = grid.phase_model(lambda t: t + 0.3 * np.sin(2 * t),
+                              lambda t: 1 + 0.6 * np.cos(2 * t), winding=1)
+        sampled = grid.from_samples(grid.from_phase(pm).samples)
+        kinked = gallery.zigzag_pair(1, 0).f
+        with pytest.raises(MissingDerivative, match="derivs"):
+            seminorms.w1p_distance(sampled, kinked, 1.0)
+        val = seminorms.w1p_distance(sampled, kinked, 1.0, derivs=(pm, None))
+        assert val == seminorms.w1p_distance(grid.from_phase(pm), kinked, 1.0)
+
+
+class TestW1pLargeP:
+    """|f' - g'| is scaled before the power, so a large p cannot overflow."""
+
+    def test_zigzag_at_p_1000(self):
+        pair = gallery.zigzag_pair(1, 0)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            val = seminorms.w1p_distance(pair.f, pair.g, 1000.0)
+        assert val == pytest.approx(3.98710747675042, rel=1e-12)
+
+    def test_power_map_tends_to_sup_of_derivative(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            val = seminorms.w1p_distance(grid.power_map(2), grid.power_map(0),
+                                         1e300)
+        assert val == 2.0
 
 
 class TestFourierHalf:
