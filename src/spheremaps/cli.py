@@ -129,8 +129,9 @@ def cmd_pair(args):
                  "value_sq": val ** 2, "value": val}]
     else:
         rows = _norm_rows(pair.f, pair.g, index, args.method)
-        for r in rows:
-            r["claim"] = pair.claim
+        for r in rows:  # the claim holds at one index and method only
+            at = (index.s, index.p, r["method"]) == pair.claim_index
+            r["claim"] = pair.claim if at else ""
     sys.stdout.write(_write_table(rows, args.output, args.sep))
     return 0
 

@@ -14,7 +14,7 @@ class MissingDerivative(ValueError):
 
 
 class NotLocallyConstant(ValueError):
-    """A suspension profile fails to be flat at the endpoints."""
+    """gallery.deflate_phase got a map f that varies on [0, lam]."""
 
 
 class InvalidProfile(ValueError):

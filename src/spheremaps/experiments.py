@@ -82,10 +82,8 @@ def _run_h_half_blaschke(*, d=2, delta=(1e-1, 1e-2, 1e-3)):
     limit = 4.0 * PI ** 2 * abs(d)
     rows, devs, ok = [], [], True
     for dl in delta:
-        m = max(grid.DEFAULT_M,
-                1 << int(math.ceil(math.log2(2000.0 / dl))))
-        f = grid.power_map(d, m)
-        h = gallery.blaschke_pow(d, dl, m)
+        h = gallery.blaschke_pow(d, dl)
+        f = grid.power_map(d, h.m)
         h_norm_sq = seminorms.h_half_seminorm_sq(h)
         value_sq = seminorms.h_half_seminorm_sq(
             grid.product(f, h).samples - f.samples)
@@ -102,14 +100,20 @@ def _run_h_half_blaschke(*, d=2, delta=(1e-1, 1e-2, 1e-3)):
 
 # --- critical-norm families -----------------------------------------------
 
-def _run_eps_bump_critical(*, eps=(1e-2, 1e-3, 1e-4), n_dim=1):
-    rows, vals = [], []
+def _bump_family(eps, n_dim=1):
+    """(eps, pair, critical distance) for each bump pair of the sweep."""
     for ev in eps:
         pair = gallery.bump_pair(ev, n_dim=n_dim)
         if n_dim == 1:
             value = seminorms.h_half_distance(pair.f, pair.g)
         else:
             value = sphere2.h1_distance(pair.f, pair.g)
+        yield ev, pair, value
+
+
+def _run_eps_bump_critical(*, eps=(1e-2, 1e-3, 1e-4), n_dim=1):
+    rows, vals = [], []
+    for ev, _, value in _bump_family(eps, n_dim):
         vals.append(value)
         rows.append({"eps": ev, "value": value})
     ok = all(a > b for a, b in zip(vals, vals[1:]))
@@ -254,11 +258,9 @@ def _run_product_shift_scaling(*, d=(1, 2, 4, 8), s=1.0, p=1.0):
 
 def _run_degree_stability(*, eps=(1e-2, 1e-3, 1e-4)):
     rows, vals, ok = [], [], True
-    for ev in eps:
-        pair = gallery.bump_pair(ev, n_dim=1)
+    for ev, pair, val in _bump_family(eps):
         df = grid.degree_winding(pair.f)
         dg = grid.degree_winding(pair.g)
-        val = seminorms.h_half_distance(pair.f, pair.g)
         vals.append(val)
         # distance-to-degree-gap ratio: finite means the classes touch
         # without the reported degrees ever merging

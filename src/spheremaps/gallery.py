@@ -20,6 +20,7 @@ class GalleryPair:
     g: CircleMap
     params: dict
     claim: str  # tag of the expected distance formula
+    claim_index: tuple = None  # (s, p, seminorm method) the claim is about
 
 
 def smoothstep(t):
@@ -65,11 +66,12 @@ def zigzag_pair(d1, d2, m=None):
         raise ValueError("zigzag pair needs d1 != d2")
     if d1 < d2:
         p = zigzag_pair(d2, d1, m)
-        return GalleryPair(p.g, p.f, {"d1": d1, "d2": d2}, p.claim)
+        return GalleryPair(p.g, p.f, {"d1": d1, "d2": d2}, p.claim,
+                           p.claim_index)
     if d1 <= 0:
         p = zigzag_pair(-d1, -d2, m)
         return GalleryPair(grid.conjugate(p.f), grid.conjugate(p.g),
-                           {"d1": d1, "d2": d2}, p.claim)
+                           {"d1": d1, "d2": d2}, p.claim, p.claim_index)
 
     d = d1 - d2
     L = d + 1
@@ -101,7 +103,8 @@ def zigzag_pair(d1, d2, m=None):
     pf = phase_model(phi, dphi, [tstar], d1)
     pg = phase_model(psi, dpsi, np.append(kinks, tstar), d2)
     return GalleryPair(grid.from_phase(pf, m), grid.from_phase(pg, m),
-                       {"d1": d1, "d2": d2}, "w11_zigzag_4d")
+                       {"d1": d1, "d2": d2}, "w11_zigzag_4d",
+                       (1.0, 1.0, "w1p_quadrature"))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +227,8 @@ def attainment_pair(d1, p, m=None):
     pf = phase_model(phi, dphi, sings, d1)
     f = grid.from_phase(pf, m)
     return GalleryPair(f, grid.conjugate(f),
-                       {"d1": d1, "d2": -d1, "p": p}, "w1p_formula")
+                       {"d1": d1, "d2": -d1, "p": p}, "w1p_formula",
+                       (1.0, p, "w1p_quadrature"))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +239,15 @@ def blaschke_pow(d, delta, m=None):
 
     Evaluated by phase accumulation (lift the Moebius factor, multiply the
     phase by -d) so small delta and large d cannot cancel catastrophically.
+    The default grid has at least 64|d|/delta nodes: the Fourier tail of h
+    decays like (1 - delta)^n, so aliasing stays near e^{-64}.
     """
     d = int(d)
     if not (0.0 < delta < 1.0):
         raise ValueError("need 0 < delta < 1")
-    m = grid.DEFAULT_M if m is None else m
+    if m is None:
+        m = max(grid.DEFAULT_M, 1 << int(np.ceil(np.log2(
+            max(64.0 * abs(d) / delta, 1.0)))))
     z = np.exp(1j * grid.nodes(m))
     a = 1.0 - delta
     w = (z - a) / (a * z - 1.0)
@@ -321,15 +329,21 @@ def _bump_phase_1d(profile_fn, theta):
 
 def bump_pair(eps, n_dim=1, m=None, n_phi=None):
     """The bump pair (f, g) with degrees (1, 0) whose difference lives in the
-    last coordinate only and shrinks in the critical norm as eps -> 0."""
+    last coordinate only and shrinks in the critical norm as eps -> 0.
+
+    The default circle grid has at least 50/eps nodes (and 2^17), so the
+    core |theta - pi| < eps spans at least 50/pi, about 16, nodes.
+    """
     _grid_keys(n_dim, m, n_phi)
     prof = capacity_profiles(eps)
     if n_dim == 1:
-        m = (1 << 20) if m is None else m
+        if m is None:
+            m = max(1 << 17, 1 << int(np.ceil(np.log2(50.0 / eps))))
         sign, r = _arc_offset(grid.nodes(m))
         f, g = (grid.from_samples(np.exp(1j * (-PI / 2.0 + sign * prof_r)))
                 for prof_r in prof.profiles(r))
-        return GalleryPair(f, g, {"eps": eps, "n_dim": 1}, "critical_bump")
+        return GalleryPair(f, g, {"eps": eps, "n_dim": 1}, "critical_bump",
+                           (0.5, 2.0, "fourier_h_half"))
     if n_dim == 2:
         return sphere2.bump_pair_s2(prof, n_phi=n_phi)
     raise ValueError("n_dim must be 1 or 2")
@@ -424,7 +438,8 @@ def product_shift(d1, d2, m=None):
     h = grid.from_phase(phase_model(h_phi, dh_phi, winding=1), m)
     g = grid.from_phase(phase_model(g_phi, dg_phi, winding=d2), m)
     f = grid.product(grid.power(h, d1 - d2), g)
-    return GalleryPair(f, g, {"d1": d1, "d2": d2}, "product_shift")
+    return GalleryPair(f, g, {"d1": d1, "d2": d2}, "product_shift",
+                       (1.0, 1.0, "w1p_quadrature"))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +472,8 @@ def plateau_pair(d1, d2, a=PI, m=None):
 
     return GalleryPair(grid.from_phase(phase_model(phi, dphi, [a], d1), m),
                        grid.from_phase(phase_model(psi, dpsi, [a], d2), m),
-                       {"d1": d1, "d2": d2, "a": a}, "plateau_2pid")
+                       {"d1": d1, "d2": d2, "a": a}, "plateau_2pid",
+                       (1.0, 1.0, "w1p_quadrature"))
 
 
 def wedge_density(f):

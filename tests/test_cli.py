@@ -223,6 +223,16 @@ class TestCommands:
         assert r.returncode == 0
         assert "4" in r.stdout
 
+    @pytest.mark.parametrize("p,claims", [("1", ["w11_zigzag_4d", ""]),
+                                          ("2", ["", ""])])
+    def test_pair_claim_only_at_its_index(self, capsys, p, claims):
+        # rows w1p_quadrature, sup_norm: 4|d1 - d2| is a W^{1,1} claim only
+        argv = ["pair", "--pair", "zigzag:d1=1,d2=0", "--s", "1", "--p", p]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "method,s,p,value,claim"
+        assert [line.split(",")[-1] for line in lines[1:]] == claims
+
     def test_experiment_pass_exits_zero(self):
         r = run_cli("experiment", "w11-zigzag")
         assert r.returncode == 0

@@ -94,6 +94,18 @@ class TestBlaschke:
         h = gallery.blaschke_pow(3, 0.05)
         assert np.max(np.abs(np.abs(h.samples) - 1)) < 1e-12
 
+    # the default grid is max(4096, 2^ceil(log2(64|d|/delta))); each pair of
+    # cases sits on either side of one power-of-two step
+    @pytest.mark.parametrize("d,delta,m", [
+        (1, 1 / 64, 4096), (1, 0.015, 8192),
+        (2, 1e-3, 1 << 17), (2, 9e-4, 1 << 18), (0, 0.1, 4096)])
+    def test_default_grid_resolves_the_multiplier(self, d, delta, m):
+        h = gallery.blaschke_pow(d, delta)
+        assert h.m == m
+        assert grid.degree_winding(h) == -d
+        limit = 4.0 * PI ** 2 * abs(d)
+        assert abs(seminorms.h_half_seminorm_sq(h) - limit) <= 1e-12 * limit
+
 
 class TestCapacityProfiles:
     def test_requires_small_eps(self):
@@ -140,6 +152,19 @@ class TestBumpPairs:
                 pair.f.samples - pair.g.samples))
         assert vals[0] > vals[1]
 
+
+    # the default grid is max(2^17, 2^ceil(log2(50/eps)))
+    @pytest.mark.parametrize("eps,m", [(1e-2, 1 << 17), (1e-3, 1 << 17),
+                                       (1e-4, 1 << 19)])
+    def test_default_grid_matches_a_finer_one(self, eps, m):
+        pair = gallery.bump_pair(eps)
+        assert pair.f.m == pair.g.m == m
+        assert grid.degree_winding(pair.f) == 1
+        assert grid.degree_winding(pair.g) == 0
+        fine = gallery.bump_pair(eps, m=4 * m)
+        ref = seminorms.h_half_distance(fine.f, fine.g)
+        got = seminorms.h_half_distance(pair.f, pair.g)
+        assert abs(got - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("eps,m", [(1e-2, None), (1e-4, None),
                                        (1e-3, 4096)])
