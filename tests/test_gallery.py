@@ -152,7 +152,6 @@ class TestBumpPairs:
                 pair.f.samples - pair.g.samples))
         assert vals[0] > vals[1]
 
-
     # the default grid is max(2^17, 2^ceil(log2(50/eps)))
     @pytest.mark.parametrize("eps,m", [(1e-2, 1 << 17), (1e-3, 1 << 17),
                                        (1e-4, 1 << 19)])
