@@ -2,7 +2,10 @@
 
 
 class GridTooCoarse(ValueError):
-    """Adjacent samples are more than pi apart, so the lift is ambiguous."""
+    """A grid cannot resolve its map: circle samples more than pi apart or a
+    lift that does not close, a circle size not a power of two >= 16, more
+    ansatz modes than nodes, a bump radius under 6 sphere rows, or fewer
+    than 4|w| sphere rows for a winding w."""
 
 
 class GridMismatch(ValueError):
@@ -17,10 +20,6 @@ class NotLocallyConstant(ValueError):
     """gallery.deflate_phase got a map f that varies on [0, lam]."""
 
 
-class InvalidProfile(ValueError):
-    """A radial profile violates its boundary conditions."""
-
-
 class NotACircleMap(ValueError):
     """A circle-map operation received something else (e.g. an S^2 map)."""
 
@@ -30,7 +29,8 @@ class IndexOutOfRange(ValueError):
 
 
 class ParameterError(ValueError):
-    """A named parameter is unknown, missing, not a number, or not integral."""
+    """A named parameter is unknown, missing, not a number, not integral, or
+    asks for a grid above the size cap."""
 
 
 class Overcrowded(ValueError):

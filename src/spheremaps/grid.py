@@ -13,18 +13,21 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (GridMismatch, GridTooCoarse, IndexOutOfRange,
-                     MissingDerivative)
+                     MissingDerivative, ParameterError)
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 
 DEFAULT_M = 4096  # grid size used when none is given
+MAX_M = 1 << 22  # size cap: 2^22 complex samples take 64 MB
 
 
 def _check_m(m):
     if m < 16 or (m & (m - 1)) != 0:
         raise GridTooCoarse(f"grid size must be a power of two >= 16, got {m}")
+    if m > MAX_M:
+        raise ParameterError(f"grid size {m} exceeds the cap 2^22 = {MAX_M}")
 
 
 def nodes(m):

@@ -8,17 +8,18 @@ Grid rows sit at cell-center colatitudes; each cell's area is exact
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import (GridMismatch, GridTooCoarse, InvalidProfile, Overcrowded,
+from .errors import (GridMismatch, GridTooCoarse, Overcrowded, ParameterError,
                      PoleSingularity)
 from . import gallery
 from .grid import PI, TWO_PI
 
 NORTH = np.array([0.0, 0.0, 1.0])
 DEFAULT_NPHI = 128  # rows of a grid when none is given
+MAX_NPHI = 1024  # row cap: 1024 rows x 2048 longitudes of vectors take 50 MB
+PROFILE_R = 0.9  # the suspension and vo1 profiles are constant from r = R on
 
 
 @dataclass(frozen=True)
@@ -64,25 +65,21 @@ class Sphere2Map:
         return np.diff(self._row_edges())
 
 
+def _check_rows(n_phi):
+    if n_phi > MAX_NPHI:
+        raise ParameterError(
+            f"{n_phi} sphere grid rows exceed the cap of {MAX_NPHI}")
+
+
 def uniform_rows(n_phi):
+    _check_rows(n_phi)
     return (np.arange(n_phi) + 0.5) * PI / n_phi
 
 
 def geometric_rows(r_min, n_phi):
     """Row colatitudes geometric from r_min to pi (for log-scale profiles)."""
+    _check_rows(n_phi)
     return np.geomspace(r_min, PI, n_phi, endpoint=False)
-
-
-def from_function(fn, phi=None, n_phi=None, n_lam=None):
-    """Sample fn(phi_grid, lam_grid) -> (..., 3) into a Sphere2Map."""
-    if phi is None:
-        n_phi = DEFAULT_NPHI if n_phi is None else n_phi
-        phi = uniform_rows(n_phi)
-    n_lam = 2 * phi.size if n_lam is None else n_lam
-    lam = TWO_PI * np.arange(n_lam) / n_lam
-    v = fn(phi[:, None], lam[None, :])
-    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    return Sphere2Map(phi, v)
 
 
 def _radial(F, w):
@@ -93,9 +90,31 @@ def _radial(F, w):
                     axis=-1)
 
 
-def _grid_points(phi, lam):
-    """Unit vectors at colatitudes phi and longitudes lam, broadcast."""
-    return _radial(phi, np.exp(1j * lam))
+def _polar(profile, winding, R=None, phi=None, n_phi=None, n_lam=None):
+    """The map (sin F(r) e^{i w lam}, cos F(r)) for a profile F of the
+    colatitude r and a winding w, held at the pole (0, 0, cos F(R)) on
+    r >= R when R is given.
+
+    F is evaluated on the grid rows only. The default grid has DEFAULT_NPHI
+    uniform rows and 2 n_phi longitudes. Fewer than 4|w| rows raise
+    GridTooCoarse: at n_phi = 4|w| the Kronecker degree of a stereographic
+    power is still within 6e-4 |w| of w, and the longitudes alias the
+    winding at n_phi = |w|.
+    """
+    n_phi = phi.size if phi is not None else (
+        DEFAULT_NPHI if n_phi is None else n_phi)
+    if n_phi < 4 * abs(winding):
+        raise GridTooCoarse(
+            f"winding {winding} needs 4|w| = {4 * abs(winding)} grid rows, "
+            f"got {n_phi}: need nphi >= {4 * abs(winding)}")
+    phi = uniform_rows(n_phi) if phi is None else phi
+    n_lam = 2 * n_phi if n_lam is None else n_lam
+    lam = TWO_PI * np.arange(n_lam) / n_lam
+    r = phi if R is None else np.minimum(phi, R)
+    v = _radial(profile(r)[:, None], np.exp(1j * winding * lam))
+    if R is not None:
+        v[phi >= R] = (0.0, 0.0, np.cos(profile(R)))
+    return Sphere2Map(phi, v / np.linalg.norm(v, axis=-1, keepdims=True))
 
 
 def _spectral_d(v, axis, length):
@@ -166,19 +185,17 @@ def stereographic_power(d, n_phi=None):
     """T^{-1}((T(s))^d) with T the stereographic projection from the north
     pole; degree d, Dirichlet energy 8*pi*|d|.
 
-    Negative d composes with complex conjugation (orientation flip), so the
-    Kronecker degree really is d and not |d|.
+    Colatitude phi goes to the F with tan(F/2) = tan(phi/2)^|d|, computed as
+    2 arctan2(sin(phi/2)^|d|, cos(phi/2)^|d|). Both powers have bases in
+    [0, 1], so neither can overflow at any d; each can only underflow toward
+    0, and arctan2 takes 0 in either argument. Negative d composes with
+    complex conjugation (orientation flip), so the Kronecker degree really
+    is d and not |d|.
     """
     d = int(d)
-
-    def fn(phi, lam):
-        rho = np.tan(phi / 2.0) ** (-abs(d))  # |T|^|d| = cot(phi/2)^|d|
-        w = rho * np.exp(1j * d * lam)
-        den = 1.0 + np.abs(w) ** 2
-        return np.stack([2.0 * w.real / den, 2.0 * w.imag / den,
-                         (np.abs(w) ** 2 - 1.0) / den], axis=-1)
-
-    return from_function(fn, n_phi=n_phi)
+    return _polar(lambda phi: 2.0 * np.arctan2(np.sin(phi / 2.0) ** abs(d),
+                                               np.cos(phi / 2.0) ** abs(d)),
+                  d, n_phi=n_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +203,35 @@ def stereographic_power(d, n_phi=None):
 
 @dataclass(frozen=True)
 class SuspensionSpec:
-    """Radial suspension data: profile F on [0, R] with F(0) = 0, F(R) = k*pi,
-    locally constant at both ends; equatorial map of degree h_degree applied
-    in the exponential chart at the north pole."""
+    """Suspension data: the profile F(r) = k*pi*smoothstep(r/PROFILE_R) of
+    the distance r from the north pole crosses the poles k times, and the
+    equatorial map winds h_degree times around them."""
 
-    F: Callable
     k: int
     h_degree: int
-    R: float = 0.9
 
 
 def default_suspension(k, dh):
-    """Profile F(r) = k*pi*smoothstep(r/R) on the default radius R."""
-    return SuspensionSpec(lambda r: k * PI * gallery.smoothstep(
-        np.asarray(r, float) / SuspensionSpec.R), int(k), int(dh))
+    """The suspension of z^dh over k pole crossings."""
+    return SuspensionSpec(int(k), int(dh))
 
+
+def suspension(spec, n_phi=None):
+    """Build the suspension map (sin F(r) e^{i dh lam}, cos F(r)) on a grid.
+
+    Degree is k*deg(h) for k odd and 0 for k even (N = 2 parity rule).
+    """
+    return _polar(lambda r: spec.k * PI * gallery.smoothstep(r / PROFILE_R),
+                  spec.h_degree, PROFILE_R, n_phi=n_phi)
+
+
+def antipode(f):
+    """The pointwise negation -f; for N = 2 the degree flips sign."""
+    return Sphere2Map(f.phi, -f.values)
+
+
+# ---------------------------------------------------------------------------
+# bump constructions on S^2
 
 def _chart_basis(center):
     """Right-handed tangent basis (e1, e2) at center."""
@@ -212,69 +243,40 @@ def _chart_basis(center):
     return c, e1, e2
 
 
-def _suspension_values(spec, points):
-    """Evaluate the suspension at an array (..., 3) of sphere points."""
-    c, e1, e2 = _chart_basis(NORTH)
-    dots = np.clip(points @ c, -1.0, 1.0)
-    r = np.arccos(dots)
-    alpha = np.arctan2(points @ e2, points @ e1)
-    out = _radial(spec.F(np.minimum(r, spec.R)),
-                  np.exp(1j * spec.h_degree * alpha))
-    outside = r >= spec.R
-    out[outside] = np.array([0.0, 0.0, np.cos(spec.k * PI)])
-    return out
+def _with_bumps(sm, k, ring, radius, up_degree):
+    """sm with k bumps of degree sign(up_degree) each inserted on geodesic
+    discs of the given radius, centered at colatitude ring and longitudes
+    2*pi*j/k; sm must be (0,0,1) on the discs, and a bump stays (0,0,1) on
+    its disc boundary.
 
-
-def suspension(spec, n_phi=None):
-    """Build the suspension map (sin F(r) h(angle), cos F(r)) on a grid.
-
-    Degree is k*deg(h) for k odd and 0 for k even (N = 2 parity rule).
+    Neighbouring centers are 2 arcsin(sin(ring) sin(pi/k)) apart along a
+    great circle (2*pi/k on the equator); discs closer than that overlap
+    and raise Overcrowded.
     """
-    f0 = float(spec.F(np.array([0.0]))[0] if np.ndim(spec.F(0.0)) else spec.F(0.0))
-    fr = float(np.asarray(spec.F(spec.R)))
-    if abs(f0) > 1e-9 or abs(fr - spec.k * PI) > 1e-9:
-        raise InvalidProfile(
-            f"profile endpoints F(0)={f0:.2e}, F(R)={fr:.4f} != (0, k*pi)")
-    eps = 1e-3 * spec.R
-    if abs(float(np.asarray(spec.F(eps))) - f0) > 1e-9 or \
-            abs(float(np.asarray(spec.F(spec.R - eps))) - fr) > 1e-9:
-        raise InvalidProfile("profile is not locally constant at its endpoints")
-
-    return from_function(
-        lambda phi, lam: _suspension_values(spec, _grid_points(phi, lam)),
-        n_phi=n_phi)
-
-
-def antipode(f):
-    """The pointwise negation -f; for N = 2 the degree flips sign."""
-    return Sphere2Map(f.phi, -f.values)
-
-
-# ---------------------------------------------------------------------------
-# bump constructions on S^2
-
-def _insert_bump(values, points, center, radius, up_degree):
-    """Overwrite a geodesic disc (where values must be (0,0,1)) with a
-    degree-up_degree bump that stays (0,0,1) on the disc boundary."""
-    c, e1, e2 = _chart_basis(center)
-    dots = np.clip(points @ c, -1.0, 1.0)
-    r = np.arccos(dots)
-    mask = r < radius
-    if not np.allclose(values[mask], NORTH, atol=1e-9):
-        raise ValueError("bump target region is not constant north")
-    alpha = np.arctan2(points @ e2, points @ e1)
-    prof = PI * (1.0 - gallery.smoothstep(r / radius))  # pi at center, 0 at edge
+    if k > 1 and 2.0 * radius >= 2.0 * np.arcsin(np.sin(ring)
+                                                 * np.sin(PI / k)):
+        raise Overcrowded(f"{k} bumps of radius {radius:g} do not fit on the "
+                          f"ring at colatitude {ring:g}")
+    points = _radial(sm.phi[:, None], np.exp(1j * sm.lam))
+    values = sm.values.copy()
     dh = -int(np.sign(up_degree))  # chart formula gives deg = -dh per turn
-    values[mask] = _radial(prof, np.exp(1j * dh * alpha))[mask]
+    for j in range(k):
+        c, e1, e2 = _chart_basis(_radial(ring, np.exp(1j * TWO_PI * j / k)))
+        r = np.arccos(np.clip(points @ c, -1.0, 1.0))
+        mask = r < radius
+        if not np.allclose(values[mask], NORTH, atol=1e-9):
+            raise ValueError("bump target region is not constant north")
+        p = points[mask]
+        alpha = np.arctan2(p @ e2, p @ e1)
+        prof = PI * (1.0 - gallery.smoothstep(r[mask] / radius))
+        values[mask] = _radial(prof, np.exp(1j * dh * alpha))
+    return Sphere2Map(sm.phi, values)
 
 
 def multi_bump_s2(d, n, n_phi=None):
     """Degree-d map equal to (0,0,1) outside |d| geodesic discs of radius 1/n."""
     d, n = int(d), int(n)
-    k = abs(d)
     radius = 1.0 / n
-    if k > 1 and 2.0 * radius >= TWO_PI / k:
-        raise Overcrowded(f"{k} bumps of radius {radius} do not fit on the equator")
     n_phi = 256 if n_phi is None else n_phi
     # a radius must span 6 rows: at n = 32 the Kronecker degree of d = 2
     # reads 1.990 with 5.1 rows per radius and 2.002 with 6.4
@@ -284,79 +286,42 @@ def multi_bump_s2(d, n, n_phi=None):
             f"a bump radius 1/{n} spans {rows:.1f} of {n_phi} rows, fewer "
             f"than 6: need n_phi (spec key nphi) >= {int(np.ceil(6.0 * PI * n))}"
             " or a smaller n")
-    phi = uniform_rows(n_phi)
-    n_lam = 2 * n_phi
-    points = _grid_points(phi[:, None], TWO_PI * np.arange(n_lam) / n_lam)
-    values = np.tile(NORTH, (n_phi, n_lam, 1))
-    for j in range(k):
-        ang = TWO_PI * j / k
-        center = np.array([np.cos(ang), np.sin(ang), 0.0])
-        _insert_bump(values, points, center, radius, np.sign(d))
-    return Sphere2Map(phi, values)
+    north = _polar(np.zeros_like, 0, n_phi=n_phi)
+    return _with_bumps(north, abs(d), PI / 2.0, radius, d)
 
 
 def bump_pair_s2(prof, n_phi=None):
     """The degree-(1,0) pair from the capacity profiles, centered at the
     north pole on a geometric row grid that resolves the eps scales."""
-    n_phi = 512 if n_phi is None else n_phi
-    phi = geometric_rows(prof.eps / 16.0, n_phi)
-    n_lam = 64
-
-    def make(profile):
-        return from_function(lambda p, l: _radial(profile(p), np.exp(1j * l)),
-                             phi=phi, n_lam=n_lam)
-
-    f, g = make(prof.F), make(prof.G)
+    phi = geometric_rows(prof.eps / 16.0, 512 if n_phi is None else n_phi)
+    f, g = (_polar(profile, 1, phi=phi, n_lam=64)
+            for profile in (prof.F, prof.G))
     return gallery.GalleryPair(f, g, {"eps": prof.eps, "n_dim": 2},
                                "critical_bump")
 
 
-def vo1_pair(d1, d2, n_phi=None, R=0.9):
+def vo1_pair(d1, d2, n_phi=None):
     """S^2 pair in classes (d1, d2) whose difference field is independent of
     d1 - d2: equal radial profiles around the north pole, different windings,
     plus (for d2 != 0) a shared degree-d2 insertion where both equal (0,0,1)."""
     d1, d2 = int(d1), int(d2)
     if d1 == d2:
         raise ValueError("need d1 != d2")
-    d = d1 - d2
-    n_phi = 256 if n_phi is None else n_phi
+    R = PROFILE_R
 
     def G(r):
-        r = np.asarray(r, dtype=float)
         up = gallery.smoothstep((r - R / 4.0) / (R / 3.0 - R / 4.0))
         down = gallery.smoothstep(
             (r - 2.0 * R / 3.0) / (3.0 * R / 4.0 - 2.0 * R / 3.0))
         return 0.5 * PI * (up - down)
 
     def F(r):
-        r = np.asarray(r, dtype=float)
         return np.where(r < R / 2.0, G(r), PI - G(r))
 
-    def make(profile, winding):
-        def fn(p, l):
-            rr = np.minimum(p, R) + 0.0 * l
-            out = _radial(profile(rr), np.exp(1j * (winding * l)))
-            outside = (p + 0.0 * l) >= R
-            out[outside] = np.array([0.0, 0.0, float(np.cos(profile(R)))])
-            return out
-
-        return from_function(fn, n_phi=n_phi)
-
-    f, g = make(F, d), make(G, d)
+    n_phi = 256 if n_phi is None else n_phi
+    f, g = (_polar(profile, d1 - d2, R, n_phi=n_phi) for profile in (F, G))
     if d2 != 0:
-        phi = f.phi
-        points = _grid_points(phi[:, None], f.lam)
-        vf, vg = f.values.copy(), g.values.copy()
-        k2 = abs(d2)
-        ring, radius = R / 6.0, min(0.06, R / 12.0)
-        if k2 > 1 and 2.0 * radius >= 2.0 * ring * np.sin(PI / k2):
-            raise Overcrowded("insertion bumps do not fit near the pole")
-        for j in range(k2):
-            ang = TWO_PI * j / k2
-            center = np.array([np.sin(ring) * np.cos(ang),
-                               np.sin(ring) * np.sin(ang), np.cos(ring)])
-            _insert_bump(vf, points, center, radius, np.sign(d2))
-            _insert_bump(vg, points, center, radius, np.sign(d2))
-        f, g = Sphere2Map(phi, vf), Sphere2Map(phi, vg)
+        f, g = (_with_bumps(h, abs(d2), R / 6.0, min(0.06, R / 12.0), d2)
+                for h in (f, g))
     return gallery.GalleryPair(f, g, {"d1": d1, "d2": d2, "R": R},
                                "vo1_independent")

@@ -108,6 +108,12 @@ MISUSE = [
     ("degree", "--map", "stereo:d=1,m=64"),
     ("degree", "--map", "multibump:d=2,nphi=999"),
     ("pair", "--pair", "bump:eps=1e-2,ndim=2,m=1024", "--s", "1", "--p", "2"),
+    ("degree", "--map", "stereo:d=100"),
+    ("degree", "--map", "suspension:k=1,dh=200"),
+    ("degree", "--map", "stereo:d=1,nphi=2048"),
+    ("pair", "--pair", "bump:eps=1e-9", "--s", "0.5", "--p", "2"),
+    ("degree", "--map", "blaschke:d=1000,delta=1e-6"),
+    ("degree", "--map", "denseonto:d1=1,n=1000"),
     ("seminorm", "--map", "power:d=1,zz=3", "--s", "1", "--p", "2"),
     ("seminorm", "--map", "power:d=1", "--s", "0.5", "--p", "2",
      "--method", "w1p"),

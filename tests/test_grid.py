@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheremaps import gallery, grid
-from spheremaps.errors import GridMismatch, GridTooCoarse
+from spheremaps.errors import GridMismatch, GridTooCoarse, ParameterError
 from spheremaps.grid import TWO_PI
 
 
@@ -22,6 +22,11 @@ class TestNodesAndModes:
             grid.nodes(100)
         with pytest.raises(GridTooCoarse):
             grid.nodes(8)
+
+    def test_m_is_capped(self):
+        grid._check_m(grid.MAX_M)
+        with pytest.raises(ParameterError):
+            grid.nodes(2 * grid.MAX_M)
 
     def test_nyquist_mode_is_positive(self):
         n = grid.fourier_modes(16)

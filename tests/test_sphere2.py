@@ -1,10 +1,13 @@
 """Tests for maps of the two-sphere: degrees, energies, and pair fields."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from spheremaps import experiments, gallery, sphere2
-from spheremaps.errors import GridMismatch, GridTooCoarse, Overcrowded
+from spheremaps.errors import (GridMismatch, GridTooCoarse, Overcrowded,
+                               ParameterError)
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -29,6 +32,13 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             sphere2.Sphere2Map(phi, values)
 
+    def test_row_builders_cap_the_row_count(self):
+        assert sphere2.uniform_rows(sphere2.MAX_NPHI).size == 1024
+        with pytest.raises(ParameterError):
+            sphere2.uniform_rows(1025)
+        with pytest.raises(ParameterError):
+            sphere2.geometric_rows(1e-6, 1025)
+
     def test_grid_mismatch_raises(self):
         f = sphere2.stereographic_power(1, n_phi=32)
         g = sphere2.stereographic_power(1, n_phi=64)
@@ -36,7 +46,24 @@ class TestGridGeometry:
             sphere2.h1_distance(f, g)
 
 
+def _stereo_reference(d, n_phi):
+    """T^{-1}((T(s))^d) through the projected point w = cot(phi/2)^|d|
+    e^{i d lam}, on the default grid of n_phi rows."""
+    phi = sphere2.uniform_rows(n_phi)[:, None]
+    lam = TWO_PI * np.arange(2 * n_phi) / (2 * n_phi)
+    w = np.tan(phi / 2.0) ** (-abs(d)) * np.exp(1j * d * lam)
+    den = 1.0 + np.abs(w) ** 2
+    v = np.stack([2.0 * w.real / den, 2.0 * w.imag / den,
+                  (np.abs(w) ** 2 - 1.0) / den], axis=-1)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 class TestStereographicPower:
+    @pytest.mark.parametrize("d", [-2, -1, 1, 2, 3])
+    def test_matches_projected_point_formula(self, d):
+        f = sphere2.stereographic_power(d, n_phi=64)
+        assert np.max(np.abs(f.values - _stereo_reference(d, 64))) < 1e-14
+
     @pytest.mark.parametrize("d", [1, 2, 3, -1, -2])
     def test_degree(self, d):
         f = sphere2.stereographic_power(d, n_phi=128)
@@ -66,6 +93,27 @@ class TestSuspension:
         assert abs(sphere2.degree_kronecker_s2(f) - expected) < 1e-2
 
 
+RULE_BUILDERS = {
+    "stereo": lambda w, n: sphere2.stereographic_power(w, n_phi=n),
+    "suspension": lambda w, n: sphere2.suspension(
+        sphere2.default_suspension(1, w), n_phi=n),
+    "vo1": lambda w, n: sphere2.vo1_pair(w, 0, n_phi=n),
+}
+
+
+@pytest.mark.parametrize("name,n_phi", [
+    ("stereo", 16), ("stereo", 64), ("stereo", 1024),
+    ("suspension", 64), ("vo1", 64)])
+def test_winding_needs_four_rows_per_turn(name, n_phi):
+    build, w = RULE_BUILDERS[name], n_phi // 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build(w, n_phi)
+        build(-w, n_phi)
+    with pytest.raises(GridTooCoarse, match=f"nphi >= {n_phi + 4}$"):
+        build(w + 1, n_phi)
+
+
 class TestAntipodeAndBumps:
     def test_antipode_flips_degree(self):
         f = sphere2.stereographic_power(2, n_phi=128)
@@ -79,8 +127,11 @@ class TestAntipodeAndBumps:
         assert abs(sphere2.degree_kronecker_s2(f) - d) < 1e-2
 
     def test_overcrowded_bumps_raise(self):
-        with pytest.raises(Overcrowded):
-            sphere2.multi_bump_s2(8, 2)
+        # k discs of radius 1/n fit on the equator while k < pi n
+        sphere2.multi_bump_s2(6, 2)
+        for k in (7, 8):
+            with pytest.raises(Overcrowded):
+                sphere2.multi_bump_s2(k, 2)
 
     @pytest.mark.parametrize("n,n_phi", [(32, 256), (32, 512)])
     def test_radius_under_six_rows_raises(self, n, n_phi):
@@ -97,6 +148,16 @@ class TestPairFields:
         diff_a = a.f.values - a.g.values
         diff_b = b.f.values - b.g.values
         assert np.max(np.abs(diff_a - diff_b)) < 1e-12
+
+    def test_vo1_insertion_fits_seven_bumps(self):
+        # the shared insertion bumps cancel in the difference field
+        a = sphere2.vo1_pair(1, 7, n_phi=128)
+        b = sphere2.vo1_pair(3, 0, n_phi=128)
+        diff_a = a.f.values - a.g.values
+        diff_b = b.f.values - b.g.values
+        assert np.max(np.abs(diff_a - diff_b)) < 1e-12
+        with pytest.raises(Overcrowded):
+            sphere2.vo1_pair(1, 8, n_phi=128)
 
     def test_vo1_h1_distance_equal_across_classes(self):
         a = sphere2.vo1_pair(3, 0, n_phi=128)
