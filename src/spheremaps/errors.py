@@ -5,7 +5,7 @@ class GridTooCoarse(ValueError):
     """A grid cannot resolve its map: circle samples more than pi apart or a
     lift that does not close, a circle size not a power of two >= 16, more
     ansatz modes than nodes, a bump radius under 6 sphere rows, or fewer
-    than 4|w| sphere rows for a winding w."""
+    than 5|w| sphere rows for a winding w (so |w| > 204 exceeds the cap)."""
 
 
 class GridMismatch(ValueError):

@@ -1,13 +1,14 @@
 """Named reproduction experiments with embedded expected values.
 
-Each experiment states the claim it checks and returns tabular rows plus a
-pass/fail verdict, so the CLI and the test suite share one source of truth.
+Each experiment's runner states the claim it checks in the first line of
+its docstring and returns tabular rows plus a pass/fail verdict, so the CLI
+and the test suite share one source of truth.
 Its runner's keyword defaults are its parameter table (see params.coerce):
 a tuple default takes a comma list.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +24,10 @@ class ExperimentResult:
     summary: str
 
 
-@dataclass(frozen=True)
-class Experiment:
-    name: str
-    claim: str
-    runner: object  # takes keyword-only parameters, each with a default
-    slow: bool = False
-
-
 # --- S^1 distance formulas ------------------------------------------------
 
 def _run_w11_zigzag(*, d1=1, d2=0):
+    """Zigzag pair realizes the W^{1,1} class distance 4|d1-d2|."""
     pair = gallery.zigzag_pair(d1, d2)
     value = seminorms.w1p_distance(pair.f, pair.g, 1.0)
     expected = 4.0 * abs(d1 - d2)
@@ -45,6 +39,7 @@ def _run_w11_zigzag(*, d1=1, d2=0):
 
 
 def _run_w1p_formula(*, p=(1.0, 2.0), d2=1, budget=2000, k=32, seed=0):
+    """Optimizer reproduces 2^{1/p+1} pi^{1/p-1} |d1-d2| within 3%."""
     rows, ok = [], True
     for pv in p:
         rep = optimize.estimate_inf_distance(
@@ -59,6 +54,7 @@ def _run_w1p_formula(*, p=(1.0, 2.0), d2=1, budget=2000, k=32, seed=0):
 
 
 def _run_dist_w11_hausdorff(*, d=(1, 2, 3), lam=(0.1, 0.01)):
+    """Phase deflation realizes the one-sided bound 2 pi |d|."""
     rows, ok = [], True
     for dv in d:
         for lv in lam:
@@ -75,7 +71,9 @@ def _run_dist_w11_hausdorff(*, d=(1, 2, 3), lam=(0.1, 0.01)):
 
 
 def _run_h_half_blaschke(*, d=2, delta=(1e-1, 1e-2, 1e-3)):
-    """|f h_delta - f|^2 equals |h_delta|^2 + o(1) = 4 pi^2 |d| + o(1); the
+    """Blaschke multipliers approach the H^{1/2} floor 4 pi^2 |d|.
+
+    |f h_delta - f|^2 equals |h_delta|^2 + o(1) = 4 pi^2 |d| + o(1); the
     multiplier's own squared norm is exactly 4 pi^2 |d| at every delta.  The
     measured approach is from below, so the o(1) term is tracked as an
     absolute deviation."""
@@ -112,6 +110,7 @@ def _bump_family(eps, n_dim=1):
 
 
 def _run_eps_bump_critical(*, eps=(1e-2, 1e-3, 1e-4), n_dim=1):
+    """Bump-pair critical distance strictly decreasing in eps."""
     rows, vals = [], []
     for ev, _, value in _bump_family(eps, n_dim):
         vals.append(value)
@@ -122,10 +121,11 @@ def _run_eps_bump_critical(*, eps=(1e-2, 1e-3, 1e-4), n_dim=1):
 
 def _run_capacity_decay(*, eps=(1e-2, 1e-4, 1e-6),
                         eps_extended=(1e-10, 1e-16), nodes=1500):
-    """The log-log cutoff's (1/2, 2) Gagliardo norm decays like
-    C/sqrt(ln(1/eps)); strictly decreasing on the base sweep, and the
-    extended sweep shows the halving that the slow logarithmic rate only
-    reaches near eps ~ 1e-16."""
+    """Log-log cutoff norm decays like C/sqrt(log(1/eps)).
+
+    Its (1/2, 2) Gagliardo norm is strictly decreasing on the base sweep,
+    and the extended sweep shows the halving that the slow logarithmic
+    rate only reaches near eps ~ 1e-16."""
     rows, vals = [], []
     for ev in eps + eps_extended:
         prof = gallery.capacity_profiles(ev)
@@ -149,6 +149,7 @@ def _run_capacity_decay(*, eps=(1e-2, 1e-4, 1e-6),
 # --- S^2 --------------------------------------------------------------------
 
 def _run_s2_energy(*, d=(1, 2), n_phi=128):
+    """Stereographic powers: degree d, Dirichlet energy 8 pi |d|."""
     rows, ok = [], True
     for dv in d:
         f = sphere2.stereographic_power(dv, n_phi=n_phi)
@@ -163,6 +164,7 @@ def _run_s2_energy(*, d=(1, 2), n_phi=128):
 
 
 def _run_s2_vo1(*, d_list=(3, 7), n_phi=256):
+    """Equator-insertion pair difference independent of degree."""
     rows, fields, h1s = [], [], []
     for dv in d_list:
         pair = sphere2.vo1_pair(dv, 0, n_phi=n_phi)
@@ -181,6 +183,7 @@ def _run_s2_vo1(*, d_list=(3, 7), n_phi=256):
 # --- attainment and lower bounds -------------------------------------------
 
 def _run_attainment(*, p=(1.0, 1.5, 2.0), d1=1, budget=2000, k=32, seed=0):
+    """Attained at p<=1 and 1<p<2; concentrating for p>=2."""
     rows, ok = [], True
     for pv in p:
         probe = optimize.attainment_probe(d1, pv, budget=budget, k=k,
@@ -208,6 +211,7 @@ def _run_attainment(*, p=(1.0, 1.5, 2.0), d1=1, budget=2000, k=32, seed=0):
 
 
 def _run_oscillator_lb(*, n=(6, 10, 16), budget=2000, k=32, seed=0):
+    """Fast-oscillating maps push one-sided distances toward 2 pi."""
     rows, vals = [], []
     for nv in n:
         f = gallery.oscillator(1, nv)
@@ -224,6 +228,7 @@ def _run_oscillator_lb(*, n=(6, 10, 16), budget=2000, k=32, seed=0):
 # --- scaling sweeps ---------------------------------------------------------
 
 def _run_multibump_scaling(*, d=(1, 2, 4, 8), n=32):
+    """Squared critical norm of multi-bump maps linear in degree."""
     rows, slopes = [], []
     for dv in d:
         h = gallery.multi_bump(dv, 1, n=n)
@@ -238,6 +243,7 @@ def _run_multibump_scaling(*, d=(1, 2, 4, 8), n=32):
 
 
 def _run_product_shift_scaling(*, d=(1, 2, 4, 8), s=1.0, p=1.0):
+    """Product-shift pair distance linear in the winding gap."""
     rows, per = [], []
     for dv in d:
         pair = gallery.product_shift(dv, 0)
@@ -257,6 +263,7 @@ def _run_product_shift_scaling(*, d=(1, 2, 4, 8), s=1.0, p=1.0):
 
 
 def _run_degree_stability(*, eps=(1e-2, 1e-3, 1e-4)):
+    """No false degree merging along the bump-pair family."""
     rows, vals, ok = [], [], True
     for ev, pair, val in _bump_family(eps):
         df = grid.degree_winding(pair.f)
@@ -273,69 +280,32 @@ def _run_degree_stability(*, eps=(1e-2, 1e-3, 1e-4)):
     return rows, ok, "degrees stay (1,0) while the critical distance shrinks"
 
 
+# name -> runner, in the order `experiment all` runs them
 REGISTRY = {
-    e.name: e for e in [
-        Experiment(
-            "w11-zigzag",
-            "zigzag pair realizes the W^{1,1} class distance 4|d1-d2|",
-            _run_w11_zigzag),
-        Experiment(
-            "w1p-formula",
-            "optimizer reproduces 2^{1/p+1} pi^{1/p-1} |d1-d2| within 3%",
-            _run_w1p_formula, slow=True),
-        Experiment(
-            "dist-w11-hausdorff",
-            "phase deflation realizes the one-sided bound 2 pi |d|",
-            _run_dist_w11_hausdorff),
-        Experiment(
-            "h-half-blaschke",
-            "Blaschke multipliers approach the H^{1/2} floor 4 pi^2 |d|",
-            _run_h_half_blaschke),
-        Experiment(
-            "eps-bump-critical",
-            "bump-pair critical distance strictly decreasing in eps",
-            _run_eps_bump_critical),
-        Experiment(
-            "capacity-decay",
-            "log-log cutoff norm decays like C/sqrt(log(1/eps))",
-            _run_capacity_decay),
-        Experiment(
-            "s2-energy",
-            "stereographic powers: degree d, Dirichlet energy 8 pi |d|",
-            _run_s2_energy),
-        Experiment(
-            "s2-vo1",
-            "equator-insertion pair difference independent of degree",
-            _run_s2_vo1),
-        Experiment(
-            "attainment",
-            "attained at p<=1 and 1<p<2; concentrating for p>=2",
-            _run_attainment, slow=True),
-        Experiment(
-            "oscillator-lb",
-            "fast-oscillating maps push one-sided distances toward 2 pi",
-            _run_oscillator_lb, slow=True),
-        Experiment(
-            "multibump-scaling",
-            "squared critical norm of multi-bump maps linear in degree",
-            _run_multibump_scaling),
-        Experiment(
-            "product-shift-scaling",
-            "product-shift pair distance linear in the winding gap",
-            _run_product_shift_scaling),
-        Experiment(
-            "degree-stability",
-            "no false degree merging along the bump-pair family",
-            _run_degree_stability),
-    ]
+    "w11-zigzag": _run_w11_zigzag,
+    "w1p-formula": _run_w1p_formula,
+    "dist-w11-hausdorff": _run_dist_w11_hausdorff,
+    "h-half-blaschke": _run_h_half_blaschke,
+    "eps-bump-critical": _run_eps_bump_critical,
+    "capacity-decay": _run_capacity_decay,
+    "s2-energy": _run_s2_energy,
+    "s2-vo1": _run_s2_vo1,
+    "attainment": _run_attainment,
+    "oscillator-lb": _run_oscillator_lb,
+    "multibump-scaling": _run_multibump_scaling,
+    "product-shift-scaling": _run_product_shift_scaling,
+    "degree-stability": _run_degree_stability,
 }
+
+# the runners that run optimizer searches, the slow part of `experiment all`
+SLOW = ("w1p-formula", "attainment", "oscillator-lb")
 
 
 def run_experiment(name, **overrides):
     if name not in REGISTRY:
         raise KeyError(f"unknown experiment '{name}'; known: "
                        f"{', '.join(sorted(REGISTRY))}")
-    runner = REGISTRY[name].runner
+    runner = REGISTRY[name]
     rows, passed, summary = runner(**params.coerce(
         runner.__kwdefaults__, overrides, f"experiment '{name}'"))
     for row in rows:  # a row without its own verdict takes the experiment's

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid, params, seminorms, sphere2
+from . import grid, params, sphere2
 from .errors import (IndexOutOfRange, NotLocallyConstant, Overcrowded,
                      ParameterError)
 from .grid import PI, TWO_PI, CircleMap, phase_model
@@ -51,6 +51,21 @@ def _wrap(x):
     return PI - np.mod(PI - np.asarray(x, dtype=float), TWO_PI)
 
 
+def _linear_phase(knots, values):
+    """Phase model of the polyline through (knots, values), with knots
+    rising from 0 to 2*pi; at a knot the derivative is the slope on the
+    right."""
+    x, y = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
+    slopes = np.diff(y) / np.diff(x)
+
+    def deriv(t):
+        i = np.searchsorted(x, np.asarray(t, dtype=float), "right") - 1
+        return slopes[np.clip(i, 0, slopes.size - 1)]
+
+    return phase_model(lambda t: np.interp(t, x, y), deriv, x[1:-1],
+                       round((y[-1] - y[0]) / TWO_PI))
+
+
 # ---------------------------------------------------------------------------
 # zigzag pair: |f' - g'| integrates to exactly 4|d1 - d2| in W^{1,1}
 
@@ -75,33 +90,11 @@ def zigzag_pair(d1, d2, m=None):
 
     d = d1 - d2
     L = d + 1
-    tstar = 2.0 * d * PI / L
-
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < tstar, L * t, L * d2 * t + 2.0 * (d1 - L * d2) * PI)
-
-    def dphi(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < tstar, float(L), float(L * d2))
-
-    period = TWO_PI / L
-
-    def psi(t):
-        t = np.asarray(t, dtype=float)
-        u = np.mod(t, period)
-        saw = L * np.minimum(u, period - u)
-        return np.where(t < tstar, saw, phi(t) - 2.0 * d * PI)
-
-    def dpsi(t):
-        t = np.asarray(t, dtype=float)
-        u = np.mod(t, period)
-        saw = np.where(u < 0.5 * period, float(L), float(-L))
-        return np.where(t < tstar, saw, float(L * d2))
-
-    kinks = np.arange(1, 2 * d + 1) * (PI / L)
-    pf = phase_model(phi, dphi, [tstar], d1)
-    pg = phase_model(psi, dpsi, np.append(kinks, tstar), d2)
+    pf = _linear_phase([0.0, 2.0 * d * PI / L, TWO_PI],
+                       [0.0, TWO_PI * d, TWO_PI * d1])
+    teeth = np.arange(2 * d + 1)  # g = 0, pi, 0, ..., 0 at the knots k pi/L
+    pg = _linear_phase(np.append(teeth * (PI / L), TWO_PI),
+                       np.append(PI * (teeth % 2), TWO_PI * d2))
     return GalleryPair(grid.from_phase(pf, m), grid.from_phase(pg, m),
                        {"d1": d1, "d2": d2}, "w11_zigzag_4d",
                        (1.0, 1.0, "w1p_quadrature"))
@@ -123,16 +116,8 @@ def deflate_phase(f, d, lam):
     if on_arc.size and np.max(np.abs(on_arc - on_arc[0])) > 1e-9:
         raise NotLocallyConstant("f varies on [0, lam]")
 
-    def unwind(t):
-        t = np.asarray(t, dtype=float)
-        return -2.0 * d * PI * np.minimum(t, lam) / lam
-
-    def dunwind(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < lam, -2.0 * d * PI / lam, 0.0)
-
-    twist = grid.from_phase(phase_model(unwind, dunwind, [lam], -d), f.m)
-    return grid.product(f, twist)
+    twist = _linear_phase([0.0, lam, TWO_PI], [0.0, -TWO_PI * d, -TWO_PI * d])
+    return grid.product(f, grid.from_phase(twist, f.m))
 
 
 def ramp_map(d, gap=0.5, m=None):
@@ -183,18 +168,7 @@ def oscillator(d1, n, m=None):
 
 
 # ---------------------------------------------------------------------------
-# the T/S phase reparametrizations and the attainment pair
-
-def t_phase(theta):
-    """Phase of T(e^{i theta}) = e^{i pi sin(theta/2)}."""
-    return PI * np.sin(np.asarray(theta, dtype=float) / 2.0)
-
-
-def s_phase(theta):
-    """Phase of the inverse reparametrization S(e^{i theta}) = e^{2i arcsin(theta/pi)}
-    (theta taken in (-pi, pi])."""
-    return 2.0 * np.arcsin(_wrap(theta) / PI)
-
+# the attainment pair
 
 def attainment_pair(d1, p, m=None):
     """The extremal pair attaining the W^{1,p} class distance for d2 = -d1.
@@ -443,7 +417,7 @@ def product_shift(d1, d2, m=None):
 
 
 # ---------------------------------------------------------------------------
-# attainability diagnostics
+# the plateau pair
 
 def plateau_pair(d1, d2, a=PI, m=None):
     """Pair with phi rising to 2*pi*d1 on [0, a] then flat, psi continuing to
@@ -451,59 +425,12 @@ def plateau_pair(d1, d2, a=PI, m=None):
     d1, d2 = int(d1), int(d2)
     if not 0 < d1 < d2:
         raise ValueError("plateau pair needs 0 < d1 < d2")
-    slope1 = 2.0 * PI * d1 / a
-    slope2 = 2.0 * PI * (d2 - d1) / (TWO_PI - a)
-
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < a, slope1 * t, 2.0 * PI * d1)
-
-    def dphi(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < a, slope1, 0.0)
-
-    def psi(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < a, slope1 * t, 2.0 * PI * d1 + slope2 * (t - a))
-
-    def dpsi(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < a, slope1, slope2)
-
-    return GalleryPair(grid.from_phase(phase_model(phi, dphi, [a], d1), m),
-                       grid.from_phase(phase_model(psi, dpsi, [a], d2), m),
+    f, g = (grid.from_phase(_linear_phase([0.0, a, TWO_PI],
+                                          [0.0, TWO_PI * d1, TWO_PI * dv]), m)
+            for dv in (d1, d2))
+    return GalleryPair(f, g,
                        {"d1": d1, "d2": d2, "a": a}, "plateau_2pid",
                        (1.0, 1.0, "w1p_quadrature"))
-
-
-def wedge_density(f):
-    """f wedge f' on the grid (equals the phase derivative for circle maps)."""
-    if f.phase is not None:
-        t = f.theta + 0.5 * TWO_PI / f.m
-        return f.phase.deriv(t)
-    df = grid.spectral_derivative(f.samples)
-    return np.imag(np.conj(f.samples) * df)
-
-
-def attainability_witnesses(d1, d2, m=None):
-    """Diagnostics for when the one-sided W^{1,1} distance is attained.
-
-    Reports the range of f wedge f' for the canonical representative, whether
-    the sign condition d1 * (f wedge f') >= 0 holds, and the measured plateau
-    pair distance (should equal 2*pi*(d2-d1) for 0 < d1 < d2).
-    """
-    f = grid.power_map(d1, m)
-    w = wedge_density(f)
-    pair = plateau_pair(d1, d2, m=m) if 0 < d1 < d2 else None
-    out = {
-        "wedge_min": float(np.min(w)),
-        "wedge_max": float(np.max(w)),
-        "wedge_sign_ok": bool(np.all(d1 * w >= -1e-12)),
-    }
-    if pair is not None:
-        out["plateau_distance"] = seminorms.w1p_distance(pair.f, pair.g, 1.0)
-        out["plateau_expected"] = 2.0 * PI * (d2 - d1)
-    return out
 
 
 # ---------------------------------------------------------------------------

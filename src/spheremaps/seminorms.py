@@ -1,8 +1,9 @@
 """Semi-norms and distances on S^1: W^{1,p}, Gagliardo W^{s,p}, H^{1/2}, sup.
 
-The Fourier form is the canonical H^{1/2} value; the Gagliardo double sum
-(with periodic arc-length kernel) is calibrated against it by a measured
-ratio, see calibration_ratio.
+The Fourier form is the canonical H^{1/2} value. The Gagliardo double sum
+(with periodic arc-length kernel) measures the same class of functions with
+its own constant: on e^{i theta} its square is about 0.7736 times the
+Fourier value.
 """
 
 import functools
@@ -181,32 +182,6 @@ def _symmetric_form(w, block):
     return float(total)
 
 
-def gagliardo_nonuniform(values, thetas, s, p):
-    """Gagliardo double sum on arbitrary sorted nodes in [0, 2*pi).
-
-    Trapezoid weights in both variables; used for profiles whose activity
-    lives on scales a uniform grid cannot reach (log-spaced nodes).  The
-    kernel matrix is summed over its upper block triangle, one row block at
-    a time.
-    """
-    if not (0.0 < s < 1.0):
-        raise IndexOutOfRange(f"Gagliardo index needs 0 < s < 1, got {s}")
-    v = np.asarray(values, dtype=float)
-    t = np.asarray(thetas, dtype=float)
-    gaps = np.diff(np.concatenate((t, [t[0] + TWO_PI])))
-    w = 0.5 * (gaps + np.roll(gaps, 1))
-
-    def block(a, b):
-        raw = np.abs(t[a:b, None] - t[None, a:])
-        dist = np.minimum(raw, TWO_PI - raw)
-        np.fill_diagonal(dist, 1.0)
-        kern = np.abs(v[a:b, None] - v[None, a:]) ** p / dist ** (1.0 + s * p)
-        np.fill_diagonal(kern, 0.0)
-        return kern
-
-    return _symmetric_form(w, block) ** (1.0 / p)
-
-
 def gagliardo_even(values, radii, s, p):
     """Gagliardo semi-norm on the circle of an even profile h(theta) =
     H(|theta|) sampled at radius nodes in (0, pi].
@@ -236,39 +211,6 @@ def gagliardo_even(values, radii, s, p):
         return kern
 
     return (2.0 * _symmetric_form(w, block)) ** (1.0 / p)
-
-
-def calibration_ratio(m=8192):
-    """Measured ratio (arc-kernel Gagliardo)^2 / (Fourier H^{1/2})^2 on e^{i theta}.
-
-    The ratio is frequency-dependent, so it is defined on the mode-1 family;
-    it is stable under rotations and phase shifts of that family.
-    """
-    f = grid.power_map(1, m)
-    g2 = gagliardo_seminorm(f, 0.5, 2.0) ** 2
-    return g2 / h_half_seminorm_sq(f)
-
-
-def pointwise_identity_check(f, g, derivs=None):
-    """Max residual of |f'-g'|^2 = cos^2((phi-psi)/2)(phi'-psi')^2
-    + sin^2((phi-psi)/2)(phi'+psi')^2 over the grid."""
-    f, g = _with_derivs(f, g, derivs)
-    pf, pg = f.phase, g.phase
-    if pf is None or pg is None:
-        # a sampled map: the grid derivatives against the phases on the nodes
-        lhs = np.abs(_grid_derivative(f) - _grid_derivative(g)) ** 2
-        (phi, dphi, _), (psi, dpsi, _) = map(grid.phase_on_grid, (f, g))
-    else:
-        t = f.theta + 0.5 * TWO_PI / f.m  # midpoints dodge on-node breakpoints
-        for b in np.concatenate((pf.breakpoints, pg.breakpoints)):
-            t[np.abs(t - b) < 1e-12] += 1e-7
-        phi, psi = pf.value(t), pg.value(t)
-        dphi, dpsi = pf.deriv(t), pg.deriv(t)
-        lhs = np.abs(1j * dphi * np.exp(1j * phi) - 1j * dpsi * np.exp(1j * psi)) ** 2
-    half = 0.5 * (phi - psi)
-    rhs = np.cos(half) ** 2 * (dphi - dpsi) ** 2 + np.sin(half) ** 2 * (dphi + dpsi) ** 2
-    ok = np.isfinite(lhs) & np.isfinite(rhs)
-    return float(np.max(np.abs(lhs[ok] - rhs[ok])))
 
 
 def _difference(h, g):

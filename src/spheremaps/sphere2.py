@@ -96,17 +96,20 @@ def _polar(profile, winding, R=None, phi=None, n_phi=None, n_lam=None):
     r >= R when R is given.
 
     F is evaluated on the grid rows only. The default grid has DEFAULT_NPHI
-    uniform rows and 2 n_phi longitudes. Fewer than 4|w| rows raise
-    GridTooCoarse: at n_phi = 4|w| the Kronecker degree of a stereographic
-    power is still within 6e-4 |w| of w, and the longitudes alias the
-    winding at n_phi = |w|.
+    uniform rows and 2 n_phi longitudes. Fewer than 5|w| rows raise
+    GridTooCoarse: at n_phi = 5|w| the Kronecker degree of a stereographic
+    power is within 0.0075 of w up to |w| = 204, the largest winding under
+    the MAX_NPHI cap, while at 4|w| its error grows with |w|, to 0.146 at
+    |w| = 256; the longitudes alias the winding at n_phi = |w|.
     """
     n_phi = phi.size if phi is not None else (
         DEFAULT_NPHI if n_phi is None else n_phi)
-    if n_phi < 4 * abs(winding):
-        raise GridTooCoarse(
-            f"winding {winding} needs 4|w| = {4 * abs(winding)} grid rows, "
-            f"got {n_phi}: need nphi >= {4 * abs(winding)}")
+    rows = 5 * abs(winding)
+    if n_phi < rows:
+        need = (f"need nphi >= {rows}" if rows <= MAX_NPHI else
+                f"no grid under the cap of {MAX_NPHI} rows resolves it")
+        raise GridTooCoarse(f"winding {winding} needs 5|w| = {rows} grid "
+                            f"rows, got {n_phi}: {need}")
     phi = uniform_rows(n_phi) if phi is None else phi
     n_lam = 2 * n_phi if n_lam is None else n_lam
     lam = TWO_PI * np.arange(n_lam) / n_lam

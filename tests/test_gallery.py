@@ -16,13 +16,26 @@ PI = np.pi
 
 
 class TestZigzag:
-    @pytest.mark.parametrize("d1,d2", [(1, 0), (3, 1), (2, -1)])
+    # at d1 - d2 = 5 the two roundings of t* = 2 pi d / L differ by an ulp
+    @pytest.mark.parametrize("d1,d2", [(1, 0), (3, 1), (2, -1), (5, 0)])
     def test_distance_is_4_times_gap(self, d1, d2):
         pair = gallery.zigzag_pair(d1, d2)
         assert grid.degree_winding(pair.f) == d1
         assert grid.degree_winding(pair.g) == d2
         val = seminorms.w1p_distance(pair.f, pair.g, 1.0)
         assert abs(val - 4 * abs(d1 - d2)) / (4 * abs(d1 - d2)) < 1e-3
+        # f kinks once at t* = 2 pi d / L; g kinks at k pi / L up to t*;
+        # at a knot the derivative is the slope on the right
+        d = d1 - d2
+        L = d + 1
+        teeth = np.arange(1, 2 * d + 1) * PI / L
+        assert np.allclose(pair.f.phase.breakpoints, [2 * d * PI / L])
+        assert np.allclose(pair.g.phase.breakpoints, teeth)
+        up_down = np.where(np.arange(2 * d) % 2, L, -L)
+        assert np.allclose(pair.g.phase.deriv(teeth), np.append(
+            up_down[:-1], L * d2))
+        assert np.allclose(pair.f.phase.deriv(teeth[-1]), L * d2)
+        assert np.allclose(pair.f.phase.deriv(0.0), L)
 
     @given(st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=15, deadline=None)
@@ -32,6 +45,8 @@ class TestZigzag:
         pair = gallery.zigzag_pair(d1, d2, 4096)
         assert grid.degree_winding(pair.f) == d1
         assert grid.degree_winding(pair.g) == d2
+        assert pair.f.phase.winding == pair.params["d1"] == d1
+        assert pair.g.phase.winding == pair.params["d2"] == d2
 
 
 class TestDeflation:
@@ -43,6 +58,11 @@ class TestDeflation:
         assert grid.degree_winding(g) == 0
         val = seminorms.w1p_distance(f, g, 1.0)
         assert abs(val - TWO_PI * d) / (TWO_PI * d) < 1e-3
+        # the twist kinks at lam only and stops unwinding there
+        assert g.phase.winding == 0
+        assert np.array_equal(g.phase.breakpoints, [lam])
+        assert np.allclose(g.phase.deriv(np.array([0.0, lam])),
+                           [-TWO_PI * d / lam, 0.0])
 
     def test_requires_locally_constant_start(self):
         with pytest.raises(NotLocallyConstant):
@@ -55,11 +75,6 @@ class TestOscillator:
         assert grid.degree_winding(f) == 1
         tv = seminorms.w1p_distance(f, grid.power_map(0), 1.0)
         assert abs(tv - 2 * (3 - 1) * PI) < 1e-6
-
-    def test_t_s_phases_are_inverse(self):
-        x = np.linspace(-PI + 0.01, PI - 0.01, 200)
-        assert np.allclose(gallery.s_phase(gallery.t_phase(x)), x,
-                           atol=1e-9)
 
 
 class TestAttainmentPair:
@@ -245,15 +260,22 @@ class TestProductShiftAndPlateau:
         assert grid.degree_winding(pair.g) == 1
 
     def test_plateau_pair_distance(self):
-        pair = gallery.plateau_pair(1, 2)
-        val = seminorms.w1p_distance(pair.f, pair.g, 1.0)
-        # the tail continuation costs exactly 2 pi (d2 - d1)
-        assert abs(val - TWO_PI) < 1e-6
-
-    def test_attainability_witnesses(self):
-        w = gallery.attainability_witnesses(1, 2)
-        assert w["wedge_sign_ok"]
-        assert abs(w["plateau_distance"] - w["plateau_expected"]) < 1e-6
+        for d1, d2, a in [(1, 2, PI), (2, 5, 1.0)]:
+            pair = gallery.plateau_pair(d1, d2, a)
+            val = seminorms.w1p_distance(pair.f, pair.g, 1.0)
+            # the tail continuation costs exactly 2 pi (d2 - d1)
+            assert abs(val - TWO_PI * (d2 - d1)) < 1e-6
+            # both phases kink at a only, where f goes flat and g takes
+            # the tail; at a the derivative is the slope on the right
+            assert pair.f.phase.winding == pair.params["d1"] == d1
+            assert pair.g.phase.winding == pair.params["d2"] == d2
+            for h in (pair.f, pair.g):
+                assert np.array_equal(h.phase.breakpoints, [a])
+            ends = np.array([0.0, a])
+            tail = TWO_PI * (d2 - d1) / (TWO_PI - a)
+            assert np.allclose(pair.f.phase.deriv(ends), [TWO_PI * d1 / a, 0])
+            assert np.allclose(pair.g.phase.deriv(ends),
+                               [TWO_PI * d1 / a, tail])
 
 
 class TestRegistries:

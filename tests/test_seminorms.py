@@ -41,7 +41,10 @@ class TestW1p:
         t = grid.nodes(4096)
         f = grid.from_samples(np.exp(1j * (t + 0.2 * np.sin(2 * t))))
         g = grid.from_samples(np.exp(1j * (2 * t)))
-        assert seminorms.pointwise_identity_check(f, g) < 1e-6
+        assert _pointwise_identity_check(f, g) < 1e-6
+        # kinked phase models are read between their breakpoints
+        pair = gallery.zigzag_pair(3, 1)
+        assert _pointwise_identity_check(pair.f, pair.g) < 1e-9
 
     def test_triangle_inequality(self):
         f = grid.power_map(1)
@@ -166,8 +169,11 @@ class TestGagliardo:
             seminorms.gagliardo_seminorm(grid.power_map(1), 1.0, 2.0)
 
     def test_calibration_ratio_value(self):
-        # arc-kernel double sum vs the Fourier form on the mode-1 family
-        rho = seminorms.calibration_ratio(m=8192)
+        # arc-kernel double sum vs the Fourier form on the mode-1 family;
+        # the ratio depends on the frequency, so it is defined on mode 1
+        f = grid.power_map(1, 8192)
+        rho = (seminorms.gagliardo_seminorm(f, 0.5, 2.0) ** 2
+               / seminorms.h_half_seminorm_sq(f))
         assert abs(rho - 0.77357) < 5e-4
 
     def test_calibration_ratio_rotation_invariant(self):
@@ -192,7 +198,7 @@ class TestGagliardo:
         t = grid.nodes(m)
         h = np.cos(3 * t)
         a = seminorms.gagliardo_seminorm(h, 0.5, 2.0)
-        b = seminorms.gagliardo_nonuniform(h, t, 0.5, 2.0)
+        b = _gagliardo_nonuniform(h, t, 0.5, 2.0)
         assert abs(a - b) / a < 0.02
 
     def test_even_profile_matches_mirrored_nodes(self):
@@ -200,7 +206,7 @@ class TestGagliardo:
         rr = np.geomspace(1e-5, PI * 0.999, 800)
         th = np.concatenate([rr, TWO_PI - rr[::-1]])
         hh = np.concatenate([prof.H(rr), prof.H(rr)[::-1]])
-        mirrored = seminorms.gagliardo_nonuniform(hh, th, 0.5, 2.0)
+        mirrored = _gagliardo_nonuniform(hh, th, 0.5, 2.0)
         direct = seminorms.gagliardo_even(
             prof.H(rr), rr, 0.5, 2.0)
         assert abs(mirrored - direct) / direct < 0.02
@@ -208,6 +214,54 @@ class TestGagliardo:
 
 
 # -- reference kernels: the per-offset loop and the dense N x N matrices ----
+
+def _pointwise_identity_check(f, g, derivs=None):
+    """Max residual of |f'-g'|^2 = cos^2((phi-psi)/2)(phi'-psi')^2
+    + sin^2((phi-psi)/2)(phi'+psi')^2 over the grid."""
+    f, g = seminorms._with_derivs(f, g, derivs)
+    pf, pg = f.phase, g.phase
+    if pf is None or pg is None:
+        # a sampled map: the grid derivatives against the phases on the nodes
+        lhs = np.abs(seminorms._grid_derivative(f)
+                     - seminorms._grid_derivative(g)) ** 2
+        (phi, dphi, _), (psi, dpsi, _) = map(grid.phase_on_grid, (f, g))
+    else:
+        t = f.theta + 0.5 * TWO_PI / f.m  # midpoints dodge on-node breakpoints
+        for b in np.concatenate((pf.breakpoints, pg.breakpoints)):
+            t[np.abs(t - b) < 1e-12] += 1e-7
+        phi, psi = pf.value(t), pg.value(t)
+        dphi, dpsi = pf.deriv(t), pg.deriv(t)
+        lhs = np.abs(1j * dphi * np.exp(1j * phi)
+                     - 1j * dpsi * np.exp(1j * psi)) ** 2
+    half = 0.5 * (phi - psi)
+    rhs = (np.cos(half) ** 2 * (dphi - dpsi) ** 2
+           + np.sin(half) ** 2 * (dphi + dpsi) ** 2)
+    ok = np.isfinite(lhs) & np.isfinite(rhs)
+    return float(np.max(np.abs(lhs[ok] - rhs[ok])))
+
+
+def _gagliardo_nonuniform(values, thetas, s, p):
+    """Gagliardo double sum on arbitrary sorted nodes in [0, 2*pi).
+
+    Trapezoid weights in both variables; the kernel matrix is summed over
+    its upper block triangle by seminorms._symmetric_form, one row block at
+    a time.
+    """
+    v = np.asarray(values, dtype=float)
+    t = np.asarray(thetas, dtype=float)
+    gaps = np.diff(np.concatenate((t, [t[0] + TWO_PI])))
+    w = 0.5 * (gaps + np.roll(gaps, 1))
+
+    def block(a, b):
+        raw = np.abs(t[a:b, None] - t[None, a:])
+        dist = np.minimum(raw, TWO_PI - raw)
+        np.fill_diagonal(dist, 1.0)
+        kern = np.abs(v[a:b, None] - v[None, a:]) ** p / dist ** (1.0 + s * p)
+        np.fill_diagonal(kern, 0.0)
+        return kern
+
+    return seminorms._symmetric_form(w, block) ** (1.0 / p)
+
 
 def _loop_gagliardo(v, s, p):
     """Gagliardo double sum by one np.roll per offset."""
@@ -309,7 +363,7 @@ class TestGagliardoAgainstReference:
         rr = np.geomspace(1e-5, PI * 0.999, n)
         th = np.concatenate([rr, TWO_PI - rr[::-1]])
         hh = np.concatenate([prof.H(rr), prof.H(rr)[::-1]])
-        assert _rel(seminorms.gagliardo_nonuniform(hh, th, 0.5, p),
+        assert _rel(_gagliardo_nonuniform(hh, th, 0.5, p),
                     _dense_nonuniform(hh, th, 0.5, p)) <= 1e-12
 
     def test_even_memory_stays_within_a_block(self):

@@ -104,14 +104,25 @@ RULE_BUILDERS = {
 @pytest.mark.parametrize("name,n_phi", [
     ("stereo", 16), ("stereo", 64), ("stereo", 1024),
     ("suspension", 64), ("vo1", 64)])
-def test_winding_needs_four_rows_per_turn(name, n_phi):
-    build, w = RULE_BUILDERS[name], n_phi // 4
+def test_winding_needs_five_rows_per_turn(name, n_phi):
+    build, w = RULE_BUILDERS[name], n_phi // 5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         build(w, n_phi)
         build(-w, n_phi)
-    with pytest.raises(GridTooCoarse, match=f"nphi >= {n_phi + 4}$"):
+    need = 5 * (w + 1)
+    with pytest.raises(GridTooCoarse, match=(
+            f"nphi >= {need}$" if need <= sphere2.MAX_NPHI
+            else f"no grid under the cap of {sphere2.MAX_NPHI} rows")):
         build(w + 1, n_phi)
+
+
+def test_largest_resolvable_winding_keeps_its_degree():
+    # 5|w| rows under the row cap: |w| = 204 at 1020 rows
+    f = sphere2.stereographic_power(204, n_phi=1020)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(sphere2.degree_kronecker_s2(f) - 204) < 0.01
 
 
 class TestAntipodeAndBumps:
