@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gallery, grid, optimize, params, seminorms, sphere2
+from .errors import ParameterError
 from .grid import PI, TWO_PI, SobolevIndex
 
 
@@ -58,7 +59,13 @@ def _run_dist_w11_hausdorff(*, d=(1, 2, 3), lam=(0.1, 0.01)):
     rows, ok = [], True
     for dv in d:
         for lv in lam:
-            f = gallery.ramp_map(dv)  # constant near 0, as deflation needs
+            # the ramp is constant near 0, as deflation needs; the twist
+            # turns |d| times on [0, lam], and its samples resolve it while
+            # it steps under pi per node, i.e. on m > 4 pi |d| / lam
+            m = grid.DEFAULT_M
+            while lv > 0 and m <= min(grid.MAX_M, 4.0 * PI * abs(dv) / lv):
+                m *= 2
+            f = gallery.ramp_map(dv, m=m)
             g = gallery.deflate_phase(f, dv, lv)
             value = seminorms.w1p_distance(f, g, 1.0)
             expected = TWO_PI * abs(dv)
@@ -125,7 +132,10 @@ def _run_capacity_decay(*, eps=(1e-2, 1e-4, 1e-6),
 
     Its (1/2, 2) Gagliardo norm is strictly decreasing on the base sweep,
     and the extended sweep shows the halving that the slow logarithmic
-    rate only reaches near eps ~ 1e-16."""
+    rate only reaches near eps ~ 1e-16. nodes counts the radius nodes: at
+    least 16, and at most the cap of seminorms.gagliardo_even."""
+    if nodes < 16:
+        raise ParameterError(f"capacity-decay needs nodes >= 16, got {nodes}")
     rows, vals = [], []
     for ev in eps + eps_extended:
         prof = gallery.capacity_profiles(ev)

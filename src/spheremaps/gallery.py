@@ -437,24 +437,27 @@ def plateau_pair(d1, d2, a=PI, m=None):
 # randomized smooth representatives (test/optimizer seeds) and the registry
 
 def random_map(d, rng, kmax=8, amp=0.5, m=None):
-    """Random smooth degree-d map: phase d*theta plus a low-mode trig series."""
+    """Random smooth degree-d map: phase d*theta plus a low-mode trig series.
+
+    The series sum_k a_k cos(k t) + b_k sin(k t) is Re sum_k c_k z^k with
+    c_k = a_k - i b_k and z = e^{it}, summed by Horner's rule: one complex
+    exponential per evaluation instead of 2 kmax sines and cosines.
+    """
     coef = amp * rng.standard_normal(2 * kmax) / (1 + np.arange(2 * kmax) // 2) ** 2
-    ks = np.arange(1, kmax + 1)
+    c = coef[0::2] - 1j * coef[1::2]
+
+    def series(t, weights):
+        z = np.exp(1j * np.asarray(t, dtype=float))
+        acc = 0.0
+        for w in weights[::-1]:
+            acc = (acc + w) * z
+        return acc.real
 
     def phi(t):
-        t = np.asarray(t, dtype=float)
-        acc = d * t
-        for i, k in enumerate(ks):
-            acc = acc + coef[2 * i] * np.cos(k * t) + coef[2 * i + 1] * np.sin(k * t)
-        return acc
+        return d * np.asarray(t, dtype=float) + series(t, c)
 
     def dphi(t):
-        t = np.asarray(t, dtype=float)
-        acc = float(d) + 0.0 * t
-        for i, k in enumerate(ks):
-            acc = acc + k * (-coef[2 * i] * np.sin(k * t)
-                             + coef[2 * i + 1] * np.cos(k * t))
-        return acc
+        return d + series(t, 1j * np.arange(1, kmax + 1) * c)
 
     return grid.from_phase(phase_model(phi, dphi, winding=d), m)
 

@@ -92,9 +92,33 @@ class CircleMap:
         return nodes(self.m)
 
 
+def _node_step(deriv, m):
+    """max |phi'(theta_j)| * 2*pi/m over the finite derivative values at
+    the nodes of m: the largest phase step from one node to the next."""
+    d = np.abs(deriv(nodes(m)))
+    d = d[np.isfinite(d)]
+    return (np.max(d) if d.size else 0.0) * TWO_PI / m
+
+
 def from_phase(phase, m=None):
-    """Build a CircleMap exp(i*phi(theta_j)) from a PhaseModel."""
+    """Build a CircleMap exp(i*phi(theta_j)) from a PhaseModel.
+
+    Raises GridTooCoarse when the phase steps pi or more from one node to
+    the next (by _node_step), since the samples then alias the map; the
+    message names the smallest power of two m that resolves it. Node values
+    are not compared: a phase model may jump by 2*pi.
+    """
     m = DEFAULT_M if m is None else m
+    step = _node_step(phase.deriv, m)
+    if step >= PI:
+        need = 2 * m
+        while need <= MAX_M and _node_step(phase.deriv, need) >= PI:
+            need *= 2
+        raise GridTooCoarse(
+            f"the phase steps {step:.3g} rad per node on {m} nodes, at least "
+            f"pi, so the samples alias the map: " + (
+                f"need m >= {need}" if need <= MAX_M else
+                f"no grid under the cap 2^22 = {MAX_M} resolves it"))
     return CircleMap(np.exp(1j * phase.value(nodes(m))), phase=phase)
 
 

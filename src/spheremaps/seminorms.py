@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import grid
-from .errors import IndexOutOfRange, MissingDerivative, NotACircleMap
+from .errors import (IndexOutOfRange, MissingDerivative, NotACircleMap,
+                     ParameterError)
 from .grid import PI, TWO_PI, CircleMap, SobolevIndex
 
 
@@ -122,8 +123,9 @@ def _abs_modes(m):
     return n
 
 
-# node cap of the O(M^2) sum at p != 2: at p = 1.5 on a 2-core host 2^15
-# nodes take 4.5 s, while 2^20 would take hours
+# node cap of the O(M^2) sums (gagliardo_seminorm at p != 2 and
+# gagliardo_even): at p = 1.5 on a 2-core host 2^15 nodes take 4.5 s, while
+# 2^20 would take hours
 _MAX_NODES_P = 1 << 15
 
 
@@ -196,6 +198,10 @@ def gagliardo_even(values, radii, s, p):
         raise IndexOutOfRange(f"Gagliardo index needs 0 < s < 1, got {s}")
     v = np.asarray(values, dtype=float)
     r = np.asarray(radii, dtype=float)
+    if r.size > _MAX_NODES_P:
+        raise ParameterError(
+            f"the even Gagliardo sum costs O(N^2) and takes at most "
+            f"{_MAX_NODES_P} nodes, got {r.size}")
     gaps = np.diff(np.concatenate(([0.0], r, [PI])))
     w = 0.5 * (gaps[:-1] + gaps[1:])
 

@@ -22,6 +22,12 @@ MAX_NPHI = 1024  # row cap: 1024 rows x 2048 longitudes of vectors take 50 MB
 PROFILE_R = 0.9  # the suspension and vo1 profiles are constant from r = R on
 
 
+def _length(x, y, z):
+    """sqrt(x^2 + y^2 + z^2): the bits of np.linalg.norm over an axis of
+    three components, without its slow reduction along that short axis."""
+    return np.sqrt(x ** 2 + y ** 2 + z ** 2)
+
+
 @dataclass(frozen=True)
 class Sphere2Map:
     """Unit vectors sampled on a lat-long grid.
@@ -35,7 +41,7 @@ class Sphere2Map:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        drift = np.max(np.abs(np.linalg.norm(v, axis=-1) - 1.0))
+        drift = np.max(np.abs(_length(*np.moveaxis(v, -1, 0)) - 1.0))
         if drift > 1e-10:
             raise ValueError(f"values leave the unit sphere by {drift:.3e}")
 
@@ -117,41 +123,56 @@ def _polar(profile, winding, R=None, phi=None, n_phi=None, n_lam=None):
     v = _radial(profile(r)[:, None], np.exp(1j * winding * lam))
     if R is not None:
         v[phi >= R] = (0.0, 0.0, np.cos(profile(R)))
-    return Sphere2Map(phi, v / np.linalg.norm(v, axis=-1, keepdims=True))
+    return Sphere2Map(phi, v / _length(*np.moveaxis(v, -1, 0))[..., None])
 
 
-def _spectral_d(v, axis, length):
-    n = v.shape[axis]
-    modes = np.fft.fftfreq(n) * n * (TWO_PI / length)
-    shape = [1, 1, 1]
-    shape[axis] = n
-    return np.fft.ifft(1j * modes.reshape(shape) * np.fft.fft(v, axis=axis),
-                       axis=axis).real
+def _spectral_d(v, out=None):
+    """d/dx along the last axis of real samples of a 2*pi-periodic function,
+    by real FFT. The Nyquist mode of an even length is dropped: its
+    derivative is not real."""
+    n = v.shape[-1]
+    spec = np.fft.rfft(v)
+    spec *= 1j * np.arange(spec.shape[-1])
+    if n % 2 == 0:
+        spec[..., -1] = 0.0
+    return np.fft.irfft(spec, n, out=out)
 
 
 def _gradients(sm, values=None):
-    """(d/dphi, d/dlam) of a (possibly non-unit) field on sm's grid.
+    """(d/dphi, d/dlam) of a (possibly non-unit) field on sm's grid, each
+    component-first, of shape (3, n_phi, n_lam).
 
-    On uniform rows the meridian is continued over both poles into a full
-    periodic circle (phi -> 2*pi - phi, lam -> lam + pi) and differentiated
-    spectrally; nonuniform rows fall back to second-order differences.
+    The field goes one component at a time, so the temporaries stay a few
+    times the size of one component. Each is differentiated in lam by a real
+    FFT along its rows. On uniform rows (and an even n_lam) its meridians
+    are continued over both poles into full periodic circles, phi ->
+    2*pi - phi and lam -> lam + pi, written into one (n_lam, 2 n_phi) buffer
+    with phi as the last axis and differentiated there by a real FFT;
+    nonuniform rows fall back to second-order differences.
     """
     v = sm.values if values is None else values
-    uniform = np.allclose(sm.phi, uniform_rows(sm.n_phi), atol=1e-12)
-    if uniform and sm.n_lam % 2 == 0:
-        mirrored = np.roll(v[::-1], sm.n_lam // 2, axis=1)
-        ext = np.concatenate([v, mirrored], axis=0)
-        d_phi = _spectral_d(ext, 0, TWO_PI)[: sm.n_phi]
-    else:
-        d_phi = np.gradient(v, sm.phi, axis=0, edge_order=2)
-    d_lam = _spectral_d(v, 1, TWO_PI)
+    n, n_lam, h = sm.n_phi, sm.n_lam, sm.n_lam // 2
+    spectral = n_lam % 2 == 0 and np.allclose(sm.phi, uniform_rows(n),
+                                              atol=1e-12)
+    d_phi, d_lam = np.empty((2, 3, n, n_lam))
+    circle = np.empty((n_lam, 2 * n)) if spectral else None
+    for c in range(3):
+        comp = np.ascontiguousarray(v[..., c])
+        _spectral_d(comp, out=d_lam[c])
+        if spectral:
+            circle[:, :n] = comp.T
+            circle[:h, n:] = comp[::-1, h:].T
+            circle[h:, n:] = comp[::-1, :h].T
+            d_phi[c] = _spectral_d(circle, out=circle)[:, :n].T
+        else:
+            d_phi[c] = np.gradient(comp, sm.phi, axis=0, edge_order=2)
     return d_phi, d_lam
 
 
 def _pole_check(sm, d_lam):
     cap = np.sin(sm.phi) < 0.05
     if cap.any():
-        worst = np.max(np.linalg.norm(d_lam[cap], axis=-1)
+        worst = np.max(_length(*d_lam[:, cap])
                        / np.sin(sm.phi)[cap, None])
         if worst > 1e3:
             warnings.warn("unresolved variation near a pole",
@@ -162,7 +183,10 @@ def degree_kronecker_s2(f):
     """(1/4pi) int f . (df/dphi x df/dlam) dphi dlam (a float)."""
     d_phi, d_lam = _gradients(f)
     _pole_check(f, d_lam)
-    integrand = np.einsum("ijk,ijk->ij", f.values, np.cross(d_phi, d_lam))
+    (px, py, pz), (lx, ly, lz) = d_phi, d_lam
+    x, y, z = np.moveaxis(f.values, -1, 0)
+    integrand = (x * (py * lz - pz * ly) + y * (pz * lx - px * lz)
+                 + z * (px * ly - py * lx))
     dlam = TWO_PI / f.n_lam
     return float(np.sum(integrand.sum(axis=1) * f.row_widths()) * dlam / (4.0 * PI))
 
@@ -172,8 +196,8 @@ def dirichlet_energy(f, values=None):
     d_phi, d_lam = _gradients(f, values)
     _pole_check(f, d_lam)
     s = np.sin(f.phi)[:, None]
-    dens = np.einsum("ijk,ijk->ij", d_phi, d_phi) \
-        + np.einsum("ijk,ijk->ij", d_lam, d_lam) / s ** 2
+    dens = np.einsum("cij,cij->ij", d_phi, d_phi) \
+        + np.einsum("cij,cij->ij", d_lam, d_lam) / s ** 2
     return float(np.sum(dens.sum(axis=1) * f.row_areas()))
 
 

@@ -176,6 +176,41 @@ class TestMisuse:
             "error: unknown map name 'nosuch'; known: power,")
 
 
+class TestRejectedSizes:
+    @pytest.mark.parametrize("spec,need", [
+        ("power:d=3000", "need m >= 8192"),
+        ("power:d=5000", "need m >= 16384"),
+        ("ramp:d=50,gap=3.1", "need m >= 16384"),
+        ("denseonto:d1=1,n=40,m=1024", "need m >= 2048"),
+        ("power:d=3000000",
+         "no grid under the cap 2^22 = 4194304 resolves it")])
+    def test_aliasing_phase_names_the_grid_it_needs(self, capsys, spec, need):
+        assert cli.main(["degree", "--map", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the phase steps")
+        assert err.strip().endswith(need)
+        assert len(err.strip().splitlines()) == 1
+
+    def test_deflation_sweep_sizes_its_grid(self, capsys):
+        # the twist of d = 4 at lam = 0.01 steps 3.86 rad per node on the
+        # default 4096 nodes, so the experiment takes 8192
+        assert cli.main(["sweep", "deflation", "--d", "2,4"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 4 and all(r.endswith(",0,True") for r in rows)
+
+    @pytest.mark.parametrize("nodes,message", [
+        (0, "nodes >= 16, got 0"), (1, "nodes >= 16, got 1"),
+        (2, "nodes >= 16, got 2"), (15, "nodes >= 16, got 15"),
+        (32769, "at most 32768 nodes, got 32769")])
+    def test_capacity_decay_bounds_its_nodes(self, capsys, nodes, message):
+        argv = ["experiment", "capacity-decay", "--param", f"nodes={nodes}"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert err.strip().endswith(message)
+        assert len(err.strip().splitlines()) == 1
+
+
 def _comma(value):
     if isinstance(value, tuple):
         return ",".join(map(repr, value))

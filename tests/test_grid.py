@@ -34,6 +34,28 @@ class TestNodesAndModes:
         assert n.min() == -7
 
 
+class TestFromPhase:
+    def test_phase_steps_under_pi_per_node(self):
+        # power_map(d) steps d * 2*pi/m per node: under pi while d < m/2
+        assert grid.degree_winding(grid.power_map(2047, 4096)) == 2047
+        with pytest.raises(GridTooCoarse, match="need m >= 8192$"):
+            grid.power_map(2048, 4096)
+        with pytest.raises(GridTooCoarse, match="need m >= 2048$"):
+            grid.power_map(-600, 1024)
+
+    def test_no_grid_under_the_cap(self):
+        with pytest.raises(GridTooCoarse, match="no grid under the cap"):
+            grid.power_map(grid.MAX_M // 2)
+
+    def test_phase_jumps_and_infinite_derivatives_pass(self):
+        # multi_bump's summed phase jumps by 2*pi antipodal to each center,
+        # and the attainment phase has infinite derivatives at its cusps
+        assert grid.degree_winding(gallery.multi_bump(5, 1, 32)) == 5
+        pair = gallery.attainment_pair(2, 1.5)
+        assert not np.all(np.isfinite(pair.f.phase.deriv(pair.f.theta)))
+        assert grid.degree_winding(pair.f) == 2
+
+
 class TestLiftAndWinding:
     @pytest.mark.parametrize("d", [-3, -1, 0, 1, 2, 5])
     def test_power_map_winding(self, d):
