@@ -77,20 +77,17 @@ def parse_map_spec(spec):
 
 def cmd_degree(args):
     f = parse_map_spec(args.map)
-    rows = []
     if isinstance(f, Sphere2Map):
-        deg = sphere2.degree_kronecker_s2(f)
-        rows.append({"method": "kronecker", "value": deg,
-                     "rounded": grid.round_degree(deg)})
+        rows, estimates = [], [("kronecker", sphere2.degree_kronecker_s2)]
     else:
         w = grid.degree_winding(f)
-        kr = grid.degree_kronecker_s1(f)
-        fo = grid.degree_fourier(f)
-        rows.append({"method": "winding", "value": float(w), "rounded": w})
-        rows.append({"method": "kronecker", "value": kr,
-                     "rounded": grid.round_degree(kr)})
-        rows.append({"method": "fourier", "value": fo,
-                     "rounded": grid.round_degree(fo)})
+        rows = [{"method": "winding", "value": float(w), "rounded": w}]
+        estimates = [("kronecker", grid.degree_kronecker_s1),
+                     ("fourier", grid.degree_fourier)]
+    for method, estimate in estimates:
+        value = estimate(f)
+        rows.append({"method": method, "value": value,
+                     "rounded": grid.round_degree(value)})
     sys.stdout.write(_write_table(rows, args.output, args.sep))
     return 0
 

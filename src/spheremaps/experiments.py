@@ -56,15 +56,16 @@ def _run_w1p_formula(*, p=(1.0, 2.0), d2=1, budget=2000, k=32, seed=0):
 
 def _run_dist_w11_hausdorff(*, d=(1, 2, 3), lam=(0.1, 0.01)):
     """Phase deflation realizes the one-sided bound 2 pi |d|."""
+    if 0 in d:  # the relative error to the bound 2 pi |d| = 0 is undefined
+        raise ParameterError("dist-w11-hausdorff needs d != 0")
     rows, ok = [], True
     for dv in d:
         for lv in lam:
             # the ramp is constant near 0, as deflation needs; the twist
             # turns |d| times on [0, lam], and its samples resolve it while
             # it steps under pi per node, i.e. on m > 4 pi |d| / lam
-            m = grid.DEFAULT_M
-            while lv > 0 and m <= min(grid.MAX_M, 4.0 * PI * abs(dv) / lv):
-                m *= 2
+            m = grid.DEFAULT_M if lv <= 0 else grid.pow2_size(
+                np.floor(4.0 * PI * abs(dv) / lv) + 1)
             f = gallery.ramp_map(dv, m=m)
             g = gallery.deflate_phase(f, dv, lv)
             value = seminorms.w1p_distance(f, g, 1.0)
@@ -160,6 +161,8 @@ def _run_capacity_decay(*, eps=(1e-2, 1e-4, 1e-6),
 
 def _run_s2_energy(*, d=(1, 2), n_phi=128):
     """Stereographic powers: degree d, Dirichlet energy 8 pi |d|."""
+    if 0 in d:  # the relative error to the energy 8 pi |d| = 0 is undefined
+        raise ParameterError("s2-energy needs d != 0")
     rows, ok = [], True
     for dv in d:
         f = sphere2.stereographic_power(dv, n_phi=n_phi)
@@ -175,6 +178,8 @@ def _run_s2_energy(*, d=(1, 2), n_phi=128):
 
 def _run_s2_vo1(*, d_list=(3, 7), n_phi=256):
     """Equator-insertion pair difference independent of degree."""
+    if len(d_list) < 2:
+        raise ParameterError(f"s2-vo1 needs two degrees or more, got {d_list}")
     rows, fields, h1s = [], [], []
     for dv in d_list:
         pair = sphere2.vo1_pair(dv, 0, n_phi=n_phi)

@@ -170,6 +170,15 @@ def oscillator(d1, n, m=None):
 # ---------------------------------------------------------------------------
 # the attainment pair
 
+def arcsin_profile(dt):
+    """(arcsin(s/pi) + pi*k, s) for dt = s + 2*pi*k, k the nearest integer:
+    the equal-speed profile, climbing pi per 2*pi of dt, whose phases
+    +-phi(d theta) keep |f' - g'| = 2 |phi' cos phi| constant."""
+    k = np.round(dt / TWO_PI)
+    s = dt - TWO_PI * k
+    return np.arcsin(s / PI) + PI * k, s
+
+
 def attainment_pair(d1, p, m=None):
     """The extremal pair attaining the W^{1,p} class distance for d2 = -d1.
 
@@ -185,15 +194,10 @@ def attainment_pair(d1, p, m=None):
     d = 2 * d1
 
     def phi(t):
-        dt = np.asarray(t, dtype=float) * d
-        k = np.round(dt / TWO_PI)
-        s = dt - TWO_PI * k
-        return np.arcsin(s / PI) + PI * k
+        return arcsin_profile(np.asarray(t, dtype=float) * d)[0]
 
     def dphi(t):
-        dt = np.asarray(t, dtype=float) * d
-        k = np.round(dt / TWO_PI)
-        s = dt - TWO_PI * k
+        s = arcsin_profile(np.asarray(t, dtype=float) * d)[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             return d / (PI * np.sqrt(np.maximum(1.0 - (s / PI) ** 2, 0.0)))
 
@@ -220,8 +224,7 @@ def blaschke_pow(d, delta, m=None):
     if not (0.0 < delta < 1.0):
         raise ValueError("need 0 < delta < 1")
     if m is None:
-        m = max(grid.DEFAULT_M, 1 << int(np.ceil(np.log2(
-            max(64.0 * abs(d) / delta, 1.0)))))
+        m = grid.pow2_size(64.0 * abs(d) / delta)
     z = np.exp(1j * grid.nodes(m))
     a = 1.0 - delta
     w = (z - a) / (a * z - 1.0)
@@ -289,16 +292,11 @@ def _grid_keys(n_dim, m, n_phi):
         raise ParameterError("m sizes a circle grid; it needs ndim=1")
 
 
-def _arc_offset(theta):
-    """(sign(x), |x|) for the arc offset x = theta - pi."""
+def _bump_phases_1d(prof, theta):
+    """The bump pair's phases -pi/2 + sign(x) (F, G)(|x|) on the circle,
+    with x = theta - pi the arc offset."""
     x = np.asarray(theta, dtype=float) - PI
-    return np.sign(x), np.abs(x)
-
-
-def _bump_phase_1d(profile_fn, theta):
-    """Phase -pi/2 + sign(x) * profile(|x|) with x the arc offset from pi."""
-    sign, r = _arc_offset(theta)
-    return -PI / 2.0 + sign * profile_fn(r)
+    return [-PI / 2.0 + np.sign(x) * pr for pr in prof.profiles(np.abs(x))]
 
 
 def bump_pair(eps, n_dim=1, m=None, n_phi=None):
@@ -312,10 +310,9 @@ def bump_pair(eps, n_dim=1, m=None, n_phi=None):
     prof = capacity_profiles(eps)
     if n_dim == 1:
         if m is None:
-            m = max(1 << 17, 1 << int(np.ceil(np.log2(50.0 / eps))))
-        sign, r = _arc_offset(grid.nodes(m))
-        f, g = (grid.from_samples(np.exp(1j * (-PI / 2.0 + sign * prof_r)))
-                for prof_r in prof.profiles(r))
+            m = grid.pow2_size(50.0 / eps, floor=1 << 17)
+        f, g = (grid.from_samples(np.exp(1j * phase))
+                for phase in _bump_phases_1d(prof, grid.nodes(m)))
         return GalleryPair(f, g, {"eps": eps, "n_dim": 1}, "critical_bump",
                            (0.5, 2.0, "fourier_h_half"))
     if n_dim == 2:
@@ -325,11 +322,6 @@ def bump_pair(eps, n_dim=1, m=None, n_phi=None):
 
 # ---------------------------------------------------------------------------
 # multi-bump, dense-onto, product-shift
-
-def _single_bump_phase(x, r):
-    """Degree-one bump: phase rises 0 -> 2*pi across [-r, r], flat outside."""
-    return TWO_PI * smoothstep((np.asarray(x, dtype=float) + r) / (2.0 * r))
-
 
 def multi_bump(d, n_dim=1, n=32, m=None, n_phi=None):
     """Degree-d map equal to a constant outside d disjoint balls of radius 1/n."""
@@ -349,19 +341,15 @@ def multi_bump(d, n_dim=1, n=32, m=None, n_phi=None):
     centers = (np.arange(k) + 0.5) * spacing
     sgn = 1 if d > 0 else -1
 
-    def phi(t):
+    def total(t, step):
         t = np.asarray(t, dtype=float)
-        total = np.zeros_like(t)
-        for c in centers:
-            total += _single_bump_phase(_wrap(t - c), r)
-        return sgn * total
+        return sum(step((_wrap(t - c) + r) / (2.0 * r)) for c in centers)
+
+    def phi(t):  # a bump's phase rises 0 -> 2*pi across [-r, r]
+        return sgn * total(t, lambda u: TWO_PI * smoothstep(u))
 
     def dphi(t):
-        t = np.asarray(t, dtype=float)
-        total = np.zeros_like(t)
-        for c in centers:
-            total += dsmoothstep((_wrap(t - c) + r) / (2.0 * r))
-        return sgn * PI / r * total
+        return sgn * PI / r * total(t, dsmoothstep)
 
     # the summed phase has harmless 2*pi jumps antipodal to each center;
     # declare them so segment quadrature never straddles one
@@ -372,11 +360,12 @@ def multi_bump(d, n_dim=1, n=32, m=None, n_phi=None):
 def dense_onto(d1, n, m=None):
     """Degree-d1 map that covers the whole circle inside every arc of radius 1/n."""
     d1, n = int(d1), int(n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     j = 4 * n  # oscillation count: one full period fits in each 2/n window
     amp = PI + 1.0
     if m is None:
-        rate = abs(d1) + amp * j
-        m = 1 << int(np.ceil(np.log2(TWO_PI * rate / 0.005)))
+        m = grid.pow2_size(TWO_PI * (abs(d1) + amp * j) / 0.005)
 
     def phi(t):
         t = np.asarray(t, dtype=float)

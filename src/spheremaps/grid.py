@@ -23,6 +23,15 @@ DEFAULT_M = 4096  # grid size used when none is given
 MAX_M = 1 << 22  # size cap: 2^22 complex samples take 64 MB
 
 
+def pow2_size(x, floor=DEFAULT_M):
+    """The smallest power of two >= x and >= floor: a default grid size.
+    Raises ParameterError when x is above the cap MAX_M or not a number."""
+    if not x <= MAX_M:
+        raise ParameterError(f"the default grid needs {x:.3g} nodes, over "
+                             f"the cap 2^22 = {MAX_M}")
+    return max(floor, 1 << int(np.ceil(np.log2(max(x, 1.0)))))
+
+
 def _check_m(m):
     if m < 16 or (m & (m - 1)) != 0:
         raise GridTooCoarse(f"grid size must be a power of two >= 16, got {m}")
@@ -153,10 +162,6 @@ class FourierSeries:
 
     n: np.ndarray
     coeffs: np.ndarray
-
-    @property
-    def m(self):
-        return self.coeffs.size
 
 
 @dataclass(frozen=True)
@@ -289,13 +294,24 @@ def require_smooth(values):
             "decay); supply analytic derivatives")
 
 
+def phase_from_modes(n, c, winding, t):
+    """(phase, phase') on the uniform nodes t of the real phase winding*theta
+    + sum_n c_n e^{i n theta} (c_{-n} = conj c_n) from one inverse FFT: the
+    derivative's spectrum i n c_n, packed as the imaginary part, puts
+    c_n + i (i n c_n) = c_n (1 - n) at mode n."""
+    spec = np.zeros(t.size, dtype=complex)
+    spec[n] = c * (1 - n)
+    z = np.fft.ifft(spec, norm="forward")
+    return winding * t + z.real, winding + z.imag
+
+
 def phase_on_grid(f, m=None):
     """(phase, phase', winding) of f on nodes(m), f's own grid by default.
 
     A phase model is evaluated, its derivative patched where non-finite.  A
     sampled map is lifted; its periodic part phi - d*theta must pass
-    require_smooth and is resampled spectrally with its derivative
-    (zero-padded, or truncated below min(f.m, m)/2) by one inverse FFT.
+    require_smooth and is resampled by phase_from_modes (zero-padded, or
+    truncated below min(f.m, m)/2).
     """
     m = f.m if m is None else m
     t, pm = nodes(m), f.phase
@@ -305,8 +321,6 @@ def phase_on_grid(f, m=None):
     periodic = ph.values - ph.winding * f.theta
     require_smooth(periodic)
     n = fourier_modes(m)
-    keep = np.abs(n) < min(f.m, m) // 2
-    spec = np.zeros(m, dtype=complex)  # the derivative packed as i * imag
-    spec[keep] = np.fft.fft(periodic)[n[keep]] / f.m * (1 - n[keep])
-    z = np.fft.ifft(spec, norm="forward")
-    return ph.winding * t + z.real, ph.winding + z.imag, ph.winding
+    n = n[np.abs(n) < min(f.m, m) // 2]
+    return (*phase_from_modes(n, np.fft.fft(periodic)[n] / f.m, ph.winding, t),
+            ph.winding)

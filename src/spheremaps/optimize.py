@@ -74,13 +74,8 @@ class PhaseAnsatz:
         return self.winding - np.sin(kt) @ (ks * a) + np.cos(kt) @ (ks * b)
 
     def sample(self, x, m):
-        """(phase, deriv) on grid.nodes(m) from one inverse FFT.
-
-        With c_k = (a_k - i b_k)/2 the periodic part is the Hermitian
-        spectrum (c0, c_k, conj c_k) and its derivative is (0, ik c_k,
-        -ik conj c_k); packing the derivative as the imaginary part gives
-        the single spectrum c_k (1 - k) at +k and conj(c_k) (1 + k) at -k.
-        """
+        """(phase, deriv) on grid.nodes(m) by grid.phase_from_modes, with
+        c_k = (a_k - i b_k)/2 at mode k and its conjugate at -k."""
         if 2 * self.k >= m:
             raise GridTooCoarse(
                 f"{self.k} modes need a grid of more than {2 * self.k} "
@@ -88,22 +83,19 @@ class PhaseAnsatz:
         c0, a, b = self._rotated(x)
         ks = np.arange(1, self.k + 1)
         c = 0.5 * (a - 1j * b)
-        spec = np.zeros(m, dtype=complex)
-        spec[0] = c0
-        spec[1:self.k + 1] = c * (1 - ks)
-        spec[m - self.k:] = (np.conj(c) * (1 + ks))[::-1]
-        z = np.fft.ifft(spec, norm="forward")
-        return self.winding * _nodes(m) + z.real, self.winding + z.imag
+        return grid.phase_from_modes(np.concatenate(([0], ks, -ks)),
+                                     np.concatenate(([c0], c, np.conj(c))),
+                                     self.winding, _nodes(m))
 
     def pullback(self, x, u, v=None):
         """The gradient in x of sum_j (u_j phase_j + v_j deriv_j), with
         (phase, deriv) = sample(x, m): the adjoint of sample, from one
         forward FFT (of u + i v, or of u alone when v is None).
 
-        Reading the packing of sample backwards gives the gradient in A_k -
-        i B_k, the rotated cos/sin coefficients, as U_k - i k V_k with U, V
-        the spectra of u and v; the rotation by k alpha carries it to a_k -
-        i b_k and to alpha.
+        Reading the packing of grid.phase_from_modes backwards gives the
+        gradient in A_k - i B_k, the rotated cos/sin coefficients, as U_k -
+        i k V_k with U, V the spectra of u and v; the rotation by k alpha
+        carries it to a_k - i b_k and to alpha.
         """
         k, ks = self.k, np.arange(1, self.k + 1)
         if v is None:
@@ -208,10 +200,7 @@ def minimizing_pair_phases(d1, d2, mu=0.05, eta=0.1, m=4096):
     if d == 0:
         raise ValueError("need d1 != d2")
     t = grid.nodes(m)
-    dt = t * d
-    kk = np.round(dt / TWO_PI)
-    s = dt - TWO_PI * kk
-    diff = 2.0 * np.arcsin(s / PI) + TWO_PI * kk  # winds d
+    diff = 2.0 * gallery.arcsin_profile(t * d)[0]  # winds d
     diff = _smooth_periodic(diff, d, mu)
     mean = np.zeros(m)
     if d1 + d2 != 0:
@@ -231,11 +220,9 @@ class _Objective:
 
     Quadrature is the uniform trapezoid rule at m_obj nodes (all ansatz maps
     are smooth); the H^{1/2} branch uses the exact mode sum of the sampled
-    difference.  Each moving block is synthesized by PhaseAnsatz.sample and
-    its gradient pulled back by PhaseAnsatz.pullback.  With a fixed map f
-    g's ansatz moves on top of f's periodic part phi_f - d1 theta, so the
-    search only has to move the slow component; f's phase (grid.phase_on_grid)
-    and that shift are sampled once here, and d1 is kept.
+    difference.  With a fixed map f, g's ansatz moves on top of f's periodic
+    part phi_f - d1 theta, so the search only has to move the slow
+    component; f's phase, that shift and d1 are taken once here.
     """
 
     def __init__(self, index, ans_g, ans_f=None, f=None, m_obj=4096):
@@ -273,19 +260,18 @@ class _Objective:
         return value, grad
 
     def _w1p(self, fphi, fder, gphi, gder):
-        """W = (2 pi mean q^{p/2})^{1/p} with q = |f' - g'|^2 = f'^2 + g'^2
-        - 2 f'g' cos(phi - psi), and the weights (u, v) of its gradient for
+        """W = (2 pi mean q^{p/2})^{1/p} with q = |f' - g'|^2 (by
+        seminorms.speed_gap_sq), and the weights (u, v) of its gradient for
         each side: dW = pi W^{1-p} mean(q^{p/2-1} dq)."""
         p = self.index.p
         delta = fphi - gphi
         cos, sin = np.cos(delta), np.sin(delta)
-        fg = fder * gder
-        q = np.maximum(fder ** 2 + gder ** 2 - 2.0 * fg * cos, 0.0)
+        q = seminorms.speed_gap_sq(fder, gder, cos)
         qp = q ** (0.5 * p)
         value = (np.mean(qp) * TWO_PI) ** (1.0 / p)
         w = qp / np.maximum(q, _Q_FLOOR)
         w *= 2.0 * PI * value ** (1.0 - p) / self.m if value > 0 else 0.0
-        u = w * fg * sin
+        u = w * (fder * gder) * sin
         return (value, (u, w * (fder - gder * cos)),
                 (-u, w * (gder - fder * cos)))
 
@@ -297,6 +283,7 @@ class _Objective:
         diff.real, diff.imag = fc - gc, fs - gs
         h = np.fft.fft(diff, norm="forward")
         nh = self.abs_modes * h
+        # vdot, not seminorms' np.sum: a shared sum changed printed digits
         value = TWO_PI * np.sqrt(np.vdot(h, nh).real)
         # dS = (8 pi^2 / m) Re sum conj(z) d(f - g), z = sum |n| H_n e^{int}
         z = np.fft.ifft(nh, norm="forward")
@@ -340,9 +327,9 @@ def _pair_seeds(d1, d2, index, k, m=4096):
     # cost; stack any remaining gap as extra full turns on the f side.
     t = grid.nodes(m)
     for eps in (2e-2, 5e-3, 1e-3):
-        prof = gallery.capacity_profiles(eps)
-        pf = _smooth_periodic(gallery._bump_phase_1d(prof.F, t), 1, 4.0 / k)
-        pg = _smooth_periodic(gallery._bump_phase_1d(prof.G, t), 0, 4.0 / k)
+        bf, bg = gallery._bump_phases_1d(gallery.capacity_profiles(eps), t)
+        pf, pg = (_smooth_periodic(bf, 1, 4.0 / k),
+                  _smooth_periodic(bg, 0, 4.0 / k))
         seeds.append((_project_phase(pf + (d1 - 1) * t, d1, k),
                       _project_phase(pg + d2 * t, d2, k)))
     return seeds
@@ -365,10 +352,14 @@ def _one_sided_seeds(d1, d2, k, m=4096):
     return seeds
 
 
-def _check_search(k, budget):
+def _check_search(f, k, budget, m_obj):
+    seminorms._require_maps("the search", f)
     for name, value in (("k", k), ("budget", budget)):
         if value < 1:
             raise ParameterError(f"{name} must be at least 1, got {value}")
+    if 2 * k >= m_obj:
+        raise ParameterError(f"k = {k} modes need an objective grid of more "
+                             f"than 2k = {2 * k} nodes, got m_obj = {m_obj}")
 
 
 def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
@@ -378,15 +369,20 @@ def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
     start = time.perf_counter()
     runs = []
     n_runs = max(restarts, len(x_seeds))
-    for r in range(n_runs):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=r))
-        x0 = np.array(x_seeds[r % len(x_seeds)], dtype=float)
-        if r >= len(x_seeds):
-            x0 = x0 + 0.05 * rng.standard_normal(x0.size)
-        runs.append(_descend(obj, x0, budget))
+    # q^{p/2} overflows at a large p; a value that is not finite is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(n_runs):
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=r))
+            x0 = np.array(x_seeds[r % len(x_seeds)], dtype=float)
+            if r >= len(x_seeds):
+                x0 = x0 + 0.05 * rng.standard_normal(x0.size)
+            runs.append(_descend(obj, x0, budget))
     # lowest value wins, the earliest run on ties; NaN never beats a number
     best, trace = min(runs, key=lambda run: (np.isnan(run[0].fun), run[0].fun))
     value = float(best.fun)
+    if not np.isfinite(value):
+        raise IndexOutOfRange(f"the search value is {value} at p = "
+                              f"{obj.index.p:g}: |f' - g'|^p overflows")
     target = 0.0 if obj.h_half else w1p_formula(obj.index.p, d1, d2)
     return OptimizeReport(value=value, params=np.asarray(best.x), trace=trace,
                           restarts_used=n_runs, target=target,
@@ -403,7 +399,7 @@ def estimate_inf_distance(f, d2, index, k=32, budget=2000, restarts=8,
     """Two-sided estimate of the class distance from deg(f)'s class to the
     degree-d2 class.  f supplies the starting class d1 and one projection
     seed; both endpoints move during the search."""
-    _check_search(k, budget)
+    _check_search(f, k, budget, m_obj)
     ph = grid.lift(f)
     d1 = ph.winding
     ans_f = PhaseAnsatz(d1, k)
@@ -419,7 +415,7 @@ def estimate_point_to_class(f, d2, index, k=32, budget=2000, restarts=8,
     """One-sided estimate of inf over the degree-d2 class of |f - g|,
     with f held fixed; the class distance is a lower bound for any fixed f
     in its class, and is the reported target."""
-    _check_search(k, budget)
+    _check_search(f, k, budget, m_obj)
     obj = _Objective(index, PhaseAnsatz(d2, k), f=f, m_obj=m_obj)
     return _search(obj, obj.d1, d2, _one_sided_seeds(obj.d1, d2, k), budget,
                    restarts, seed)

@@ -48,12 +48,10 @@ def _grid_derivative(h):
     return 1j * grid.phase_on_grid(h)[1] * h.samples
 
 
-def _speed_gap(pf, pg, t):
-    """|f' - g'| at t from the phases: f'^2 + g'^2 - 2 f'g' cos(phi - psi)."""
-    dphi, dpsi = pf.deriv(t), pg.deriv(t)
-    gap = pf.value(t) - pg.value(t)
-    sq = dphi ** 2 + dpsi ** 2 - 2.0 * dphi * dpsi * np.cos(gap)
-    return np.sqrt(grid.patch_nonfinite(np.maximum(sq, 0.0)))
+def speed_gap_sq(dphi, dpsi, cos_gap):
+    """|f' - g'|^2 = f'^2 + g'^2 - 2 f'g' cos(phi - psi) for f = e^{i phi},
+    g = e^{i psi}, clipped at 0, from phi', psi' and cos(phi - psi)."""
+    return np.maximum(dphi ** 2 + dpsi ** 2 - 2.0 * dphi * dpsi * cos_gap, 0.0)
 
 
 def w1p_distance(f, g, p, derivs=None):
@@ -85,7 +83,9 @@ def w1p_distance(f, g, p, derivs=None):
             ts.append(np.concatenate(([a + nudge], inner, [b - nudge])))
             xs.append(np.concatenate(([a], inner, [b])))
         # segments share their ends, so the joins are panels of width 0
-        v, x = _speed_gap(pf, pg, np.concatenate(ts)), np.concatenate(xs)
+        t, x = np.concatenate(ts), np.concatenate(xs)
+        v = np.sqrt(grid.patch_nonfinite(speed_gap_sq(
+            pf.deriv(t), pg.deriv(t), np.cos(pf.value(t) - pg.value(t)))))
     top = np.max(v)
     return top * np.trapezoid((v / top) ** p, x) ** (1 / p) if top else 0.0
 

@@ -66,10 +66,6 @@ class Sphere2Map:
         b = self._row_edges()
         return (np.cos(b[:-1]) - np.cos(b[1:])) * TWO_PI / self.n_lam
 
-    def row_widths(self):
-        """Coordinate width of each cell row in phi."""
-        return np.diff(self._row_edges())
-
 
 def _check_rows(n_phi):
     if n_phi > MAX_NPHI:
@@ -188,7 +184,8 @@ def degree_kronecker_s2(f):
     integrand = (x * (py * lz - pz * ly) + y * (pz * lx - px * lz)
                  + z * (px * ly - py * lx))
     dlam = TWO_PI / f.n_lam
-    return float(np.sum(integrand.sum(axis=1) * f.row_widths()) * dlam / (4.0 * PI))
+    widths = np.diff(f._row_edges())  # of the cell rows in phi
+    return float(np.sum(integrand.sum(axis=1) * widths) * dlam / (4.0 * PI))
 
 
 def dirichlet_energy(f, values=None):

@@ -3,11 +3,13 @@
 import hashlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from spheremaps import cli, experiments, gallery, grid, sphere2
+from spheremaps.errors import ParameterError
 
 PI = np.pi
 
@@ -144,6 +146,26 @@ MISUSE = [
 ]
 
 
+# misuse whose one error line must name the rule it breaks
+RULES = [
+    (("optimize", "--from", "stereo:d=1", "--to-class", "0", "--s", "1",
+      "--p", "2", "--budget", "5", "--restarts", "1"),
+     "the search takes circle maps, got Sphere2Map"),
+    (("sweep", "deflation", "--d", "0"), "dist-w11-hausdorff needs d != 0"),
+    (("experiment", "s2-energy", "--param", "d=0"),
+     "s2-energy needs d != 0"),
+    (("optimize", "--from", "power:d=1", "--to-class", "0", "--s", "1",
+      "--p", "400", "--budget", "20", "--restarts", "1", "--one-sided"),
+     "at p = 400"),
+    (("optimize", "--from", "power:d=0", "--to-class", "1", "--s", "1",
+      "--p", "2", "--k", "5000"),
+     "more than 2k = 10000 nodes, got m_obj = 4096"),
+    (("experiment", "s2-vo1", "--param", "d_list=3"),
+     "s2-vo1 needs two degrees or more"),
+    (("degree", "--map", "denseonto:d1=1,n=-3"), "need n >= 1, got -3"),
+]
+
+
 class TestMisuse:
     @pytest.mark.parametrize("argv", MISUSE, ids=" ".join)
     def test_exits_two_with_one_error_line(self, capsys, argv):
@@ -170,6 +192,16 @@ class TestMisuse:
         if text is not None:
             assert "theta,re,im" in err
 
+    @pytest.mark.parametrize("argv,rule", RULES,
+                             ids=[" ".join(argv) for argv, _ in RULES])
+    def test_message_names_the_rule(self, capsys, argv, rule):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning either
+            assert cli.main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and rule in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_name_message_has_no_quotes(self, capsys):
         assert cli.main(["degree", "--map", "nosuch:d=1"]) == 2
         assert capsys.readouterr().err.startswith(
@@ -190,6 +222,43 @@ class TestRejectedSizes:
         assert out == "" and err.startswith("error: the phase steps")
         assert err.strip().endswith(need)
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("degree", "--map", "blaschke:d=1,delta=1e-320"),
+        ("pair", "--pair", "bump:eps=1e-320", "--s", "0.5", "--p", "2"),
+        ("degree", "--map", "denseonto:d1=0,n=0")], ids=" ".join)
+    def test_extreme_default_sizes_exit_two(self, capsys, argv):
+        assert cli.main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @staticmethod
+    def _deflation_m(d, lam):
+        """The deflation grid by its rule, one doubling at a time: the
+        smallest power of two from 4096 with m > 4 pi |d| / lam."""
+        m = grid.DEFAULT_M
+        while m <= min(grid.MAX_M, 4.0 * PI * abs(d) / lam):
+            m *= 2
+        return m
+
+    # lam = 4 pi |d| / 2^k puts 4 pi |d| / lam on the power of two 2^k
+    @pytest.mark.parametrize("d,lam", [
+        (1, 0.1), (3, 0.01), (4, 0.01), (-2, 0.01), (1, 4 * PI / 2 ** 12),
+        (2, 8 * PI / 2 ** 13), (3, 12 * PI / 2 ** 15), (1, 4 * PI / 2 ** 22)])
+    def test_deflation_grid_follows_its_rule(self, monkeypatch, d, lam):
+        sizes, ramp = [], gallery.ramp_map
+        monkeypatch.setattr(gallery, "ramp_map",
+                            lambda dv, m: sizes.append(m) or ramp(dv, m=m))
+        want = self._deflation_m(d, lam)
+        params = {"d": (d,), "lam": (lam,)}
+        if want > grid.MAX_M:
+            with pytest.raises(ParameterError, match="over the cap"):
+                experiments.run_experiment("dist-w11-hausdorff", **params)
+            assert sizes == []
+        else:
+            res = experiments.run_experiment("dist-w11-hausdorff", **params)
+            assert sizes == [want] and res.passed
 
     def test_deflation_sweep_sizes_its_grid(self, capsys):
         # the twist of d = 4 at lam = 0.01 steps 3.86 rad per node on the

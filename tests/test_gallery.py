@@ -100,6 +100,19 @@ class TestAttainmentPair:
                 gallery.attainment_pair(1, p)
 
 
+class TestArcsinProfile:
+    def test_climbs_pi_per_turn_at_the_arcsin_rate(self):
+        dt = np.linspace(-3 * PI, 5 * PI, 8001)
+        phase, s = gallery.arcsin_profile(dt)
+        assert np.all(np.abs(s) <= PI)
+        assert np.allclose(gallery.arcsin_profile(dt + TWO_PI)[0],
+                           phase + PI, rtol=0, atol=1e-14)
+        inner = np.abs(s) < 0.9 * PI  # away from the corners at |s| = pi
+        slope = np.gradient(phase, dt)[inner]
+        assert np.allclose(slope * np.sqrt(PI ** 2 - s[inner] ** 2), 1.0,
+                           rtol=0, atol=1e-4)
+
+
 class TestBlaschke:
     @pytest.mark.parametrize("d", [1, 2])
     def test_degree_is_minus_d(self, d):
@@ -185,9 +198,10 @@ class TestBumpPairs:
     def test_samples_equal_the_profile_phases(self, eps, m):
         pair = gallery.bump_pair(eps, n_dim=1, m=m)
         prof = gallery.capacity_profiles(eps)
-        t = grid.nodes(pair.f.m)
+        x = grid.nodes(pair.f.m) - np.pi  # the arc offset
         for got, fn in ((pair.f, prof.F), (pair.g, prof.G)):
-            ref = grid.from_samples(np.exp(1j * gallery._bump_phase_1d(fn, t)))
+            phase = -np.pi / 2.0 + np.sign(x) * fn(np.abs(x))
+            ref = grid.from_samples(np.exp(1j * phase))
             assert np.array_equal(got.samples, ref.samples)
 
     @pytest.mark.parametrize("eps", [2e-2, 1e-2, 5e-3, 1e-3, 1e-8])

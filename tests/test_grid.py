@@ -34,6 +34,20 @@ class TestNodesAndModes:
         assert n.min() == -7
 
 
+class TestDefaultSize:
+    @pytest.mark.parametrize("x,floor,m", [
+        (0.0, 16, 16), (1.0, 16, 16), (17.0, 16, 32), (4096.0, 16, 4096),
+        (4096.5, 16, 8192), (100.0, grid.DEFAULT_M, grid.DEFAULT_M),
+        (float(grid.MAX_M), 16, grid.MAX_M)])
+    def test_smallest_power_of_two_from_the_floor(self, x, floor, m):
+        assert grid.pow2_size(x, floor) == m
+
+    @pytest.mark.parametrize("x", [grid.MAX_M + 1.0, np.inf, np.nan])
+    def test_sizes_over_the_cap_are_rejected(self, x):
+        with pytest.raises(ParameterError, match="over the cap"):
+            grid.pow2_size(x)
+
+
 class TestFromPhase:
     def test_phase_steps_under_pi_per_node(self):
         # power_map(d) steps d * 2*pi/m per node: under pi while d < m/2
@@ -237,6 +251,18 @@ class TestPhaseOnGrid:
         rough = np.exp(1j * (t + 0.5 * np.sign(np.sin(9 * t))))
         with pytest.raises(MissingDerivative):
             grid.phase_on_grid(grid.from_samples(rough))
+
+    def test_modes_give_the_series_and_its_derivative(self):
+        t = grid.nodes(64)
+        c3, c5 = 0.3 - 0.2j, 0.1j
+        n = np.array([0, 3, -3, 5, -5])
+        c = np.array([0.7, c3, np.conj(c3), c5, np.conj(c5)])
+        phase, deriv = grid.phase_from_modes(n, c, 2, t)
+        z3, z5 = c3 * np.exp(3j * t), c5 * np.exp(5j * t)
+        assert np.allclose(phase, 2 * t + 0.7 + 2 * (z3 + z5).real,
+                           rtol=0, atol=1e-14)
+        assert np.allclose(deriv, 2 + 2 * (3j * z3 + 5j * z5).real,
+                           rtol=0, atol=1e-13)
 
     def test_phase_model_is_evaluated(self):
         f = gallery.oscillator(1, 6)

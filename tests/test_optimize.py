@@ -2,12 +2,14 @@
 closed-form targets, and small end-to-end searches."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from spheremaps import gallery, grid, optimize, seminorms
-from spheremaps.errors import GridTooCoarse
+from spheremaps import gallery, grid, optimize, seminorms, sphere2
+from spheremaps.errors import (GridTooCoarse, IndexOutOfRange, NotACircleMap,
+                               ParameterError)
 from spheremaps.grid import SobolevIndex
 
 PI = np.pi
@@ -329,6 +331,31 @@ class TestReportCounters:
             f, 1, SobolevIndex(0.5, 2.0), k=4, budget=40, restarts=0,
             m_obj=256)
         assert np.all(np.diff(rep.trace) <= 0.0)
+
+
+class TestSearchInputs:
+    def test_a_sphere_map_is_not_a_search_source(self):
+        f = sphere2.stereographic_power(1, n_phi=32)
+        for search in (optimize.estimate_inf_distance,
+                       optimize.estimate_point_to_class):
+            with pytest.raises(NotACircleMap, match="Sphere2Map"):
+                search(f, 0, SobolevIndex(1.0, 2.0), budget=5, restarts=1)
+
+    @pytest.mark.parametrize("k,m_obj", [(32, 64), (128, 256), (5000, 4096)])
+    def test_modes_must_fit_the_objective_grid(self, k, m_obj):
+        with pytest.raises(ParameterError, match=f"got m_obj = {m_obj}"):
+            optimize.estimate_inf_distance(
+                grid.power_map(0), 1, SobolevIndex(1.0, 2.0), k=k,
+                budget=5, restarts=1, m_obj=m_obj)
+
+    def test_an_overflowing_search_names_p_without_warnings(self):
+        # every descent's |f' - g'|^400 overflows to a value of nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IndexOutOfRange, match="at p = 400"):
+                optimize.estimate_point_to_class(
+                    grid.power_map(1), 0, SobolevIndex(1.0, 400.0),
+                    budget=20, restarts=1)
 
 
 class TestLazyScipy:

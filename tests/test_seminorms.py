@@ -81,6 +81,22 @@ class TestW1p:
                     - seminorms.w1p_distance(g, f, p)) < 1e-12)
 
 
+class TestSpeedGap:
+    def test_is_the_squared_derivative_gap(self):
+        rng = np.random.default_rng(3)
+        phi, psi, dphi, dpsi = rng.standard_normal((4, 50))
+        direct = np.abs(1j * dphi * np.exp(1j * phi)
+                        - 1j * dpsi * np.exp(1j * psi)) ** 2
+        got = seminorms.speed_gap_sq(dphi, dpsi, np.cos(phi - psi))
+        assert np.allclose(got, direct, rtol=1e-12, atol=1e-12)
+
+    def test_cancellation_is_clipped_at_zero(self):
+        # unclipped, these equal speeds leave -2.8e-14
+        a, b = 8.64534062758191, 8.645340627581913
+        assert a ** 2 + b ** 2 - 2.0 * a * b < 0.0
+        assert seminorms.speed_gap_sq(a, b, 1.0) == 0.0
+
+
 class TestW1pSampled:
     """W^{1,p} with a sampled map: spectral derivatives on the grid."""
 
