@@ -178,16 +178,20 @@ def _run_s2_energy(*, d=(1, 2), n_phi=128):
 
 def _run_s2_vo1(*, d_list=(3, 7), n_phi=256):
     """Equator-insertion pair difference independent of degree."""
-    if len(d_list) < 2:
-        raise ParameterError(f"s2-vo1 needs two degrees or more, got {d_list}")
-    rows, fields, h1s = [], [], []
+    if len(set(d_list)) < max(2, len(d_list)):  # no field matches itself
+        raise ParameterError(
+            f"s2-vo1 needs two degrees or more, all distinct, got {d_list}")
+    rows, h1s, first, dev = [], [], None, 0.0
     for dv in d_list:
         pair = sphere2.vo1_pair(dv, 0, n_phi=n_phi)
-        pf, pg = pair.f, pair.g
-        fields.append(pf.values - pg.values)
-        h1s.append(sphere2.h1_distance(pf, pg))
+        if first is None:
+            first = pair.f.values - pair.g.values
+        else:  # later pairs compare with it one component at a time
+            for c in range(3):
+                diff = pair.f.values[..., c] - pair.g.values[..., c]
+                dev = max(dev, float(np.max(np.abs(first[..., c] - diff))))
+        h1s.append(sphere2.h1_distance(pair.f, pair.g))
         rows.append({"d1": dv, "d2": 0, "h1_distance": h1s[-1]})
-    dev = max(float(np.max(np.abs(fields[0] - fb))) for fb in fields[1:])
     h1dev = max(abs(h - h1s[0]) for h in h1s)
     ok = dev < 1e-12 and h1dev < 1e-6
     for r in rows:
@@ -259,6 +263,8 @@ def _run_multibump_scaling(*, d=(1, 2, 4, 8), n=32):
 
 def _run_product_shift_scaling(*, d=(1, 2, 4, 8), s=1.0, p=1.0):
     """Product-shift pair distance linear in the winding gap."""
+    if 0 in d:  # the scaled distance divides by the winding gap d
+        raise ParameterError("product-shift-scaling needs d != 0")
     rows, per = [], []
     for dv in d:
         pair = gallery.product_shift(dv, 0)

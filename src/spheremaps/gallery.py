@@ -328,6 +328,8 @@ def multi_bump(d, n_dim=1, n=32, m=None, n_phi=None):
     d, n = int(d), int(n)
     if d == 0:
         raise ValueError("need d != 0")
+    if n < 1:  # the bump radius is 1/n
+        raise ParameterError(f"multibump needs n >= 1, got {n}")
     _grid_keys(n_dim, m, n_phi)
     if n_dim == 2:
         return sphere2.multi_bump_s2(d, n, n_phi=n_phi)

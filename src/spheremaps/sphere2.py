@@ -23,17 +23,21 @@ PROFILE_R = 0.9  # the suspension and vo1 profiles are constant from r = R on
 
 
 def _length(x, y, z):
-    """sqrt(x^2 + y^2 + z^2): the bits of np.linalg.norm over an axis of
-    three components, without its slow reduction along that short axis."""
-    return np.sqrt(x ** 2 + y ** 2 + z ** 2)
+    """sqrt(x^2 + y^2 + z^2) in one new buffer: the bits of np.linalg.norm
+    over a short axis of three components, without its slow reduction."""
+    out = np.square(x)
+    out += np.square(y)
+    out += np.square(z)
+    return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
 class Sphere2Map:
     """Unit vectors sampled on a lat-long grid.
 
-    phi: increasing row colatitudes in (0, pi); values: (n_phi, n_lam, 3);
-    longitudes are implicit, lam_j = 2*pi*j/n_lam.
+    phi: increasing row colatitudes in (0, pi); values: (n_phi, n_lam, 3),
+    read-only, so the degree and energy kept on the map cannot go stale.
+    Longitudes are implicit, lam_j = 2*pi*j/n_lam.
     """
 
     phi: np.ndarray
@@ -41,7 +45,10 @@ class Sphere2Map:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        drift = np.max(np.abs(_length(*np.moveaxis(v, -1, 0)) - 1.0))
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+        r = _length(*np.moveaxis(v, -1, 0))
+        drift = np.max(np.abs(np.subtract(r, 1.0, out=r), out=r))
         if drift > 1e-10:
             raise ValueError(f"values leave the unit sphere by {drift:.3e}")
 
@@ -68,9 +75,9 @@ class Sphere2Map:
 
 
 def _check_rows(n_phi):
-    if n_phi > MAX_NPHI:
-        raise ParameterError(
-            f"{n_phi} sphere grid rows exceed the cap of {MAX_NPHI}")
+    if not 1 <= n_phi <= MAX_NPHI:
+        raise ParameterError(f"{n_phi} sphere grid rows: need nphi >= 1, "
+                             f"and no more than the cap of {MAX_NPHI}")
 
 
 def uniform_rows(n_phi):
@@ -86,10 +93,13 @@ def geometric_rows(r_min, n_phi):
 
 def _radial(F, w):
     """The points (sin(F) w, cos(F)) of S^2 for polar angles F and unit
-    complex numbers w, broadcast against each other."""
+    complex numbers w, broadcast against each other into one new array."""
     s = np.sin(F)
-    return np.stack(np.broadcast_arrays(s * w.real, s * w.imag, np.cos(F)),
-                    axis=-1)
+    v = np.empty(np.broadcast_shapes(np.shape(F), np.shape(w)) + (3,))
+    np.multiply(s, w.real, out=v[..., 0])
+    np.multiply(s, w.imag, out=v[..., 1])
+    v[..., 2] = np.cos(F)
+    return v
 
 
 def _polar(profile, winding, R=None, phi=None, n_phi=None, n_lam=None):
@@ -98,7 +108,7 @@ def _polar(profile, winding, R=None, phi=None, n_phi=None, n_lam=None):
     r >= R when R is given.
 
     F is evaluated on the grid rows only. The default grid has DEFAULT_NPHI
-    uniform rows and 2 n_phi longitudes. Fewer than 5|w| rows raise
+    uniform rows and 2 n_phi longitudes. Fewer than max(1, 5|w|) rows raise
     GridTooCoarse: at n_phi = 5|w| the Kronecker degree of a stereographic
     power is within 0.0075 of w up to |w| = 204, the largest winding under
     the MAX_NPHI cap, while at 4|w| its error grows with |w|, to 0.146 at
@@ -106,12 +116,12 @@ def _polar(profile, winding, R=None, phi=None, n_phi=None, n_lam=None):
     """
     n_phi = phi.size if phi is not None else (
         DEFAULT_NPHI if n_phi is None else n_phi)
-    rows = 5 * abs(winding)
+    rows = max(1, 5 * abs(winding))
     if n_phi < rows:
         need = (f"need nphi >= {rows}" if rows <= MAX_NPHI else
                 f"no grid under the cap of {MAX_NPHI} rows resolves it")
-        raise GridTooCoarse(f"winding {winding} needs 5|w| = {rows} grid "
-                            f"rows, got {n_phi}: {need}")
+        raise GridTooCoarse(f"winding {winding} needs max(1, 5|w|) = {rows} "
+                            f"grid rows, got {n_phi}: {need}")
     phi = uniform_rows(n_phi) if phi is None else phi
     n_lam = 2 * n_phi if n_lam is None else n_lam
     lam = TWO_PI * np.arange(n_lam) / n_lam
@@ -119,7 +129,8 @@ def _polar(profile, winding, R=None, phi=None, n_phi=None, n_lam=None):
     v = _radial(profile(r)[:, None], np.exp(1j * winding * lam))
     if R is not None:
         v[phi >= R] = (0.0, 0.0, np.cos(profile(R)))
-    return Sphere2Map(phi, v / _length(*np.moveaxis(v, -1, 0))[..., None])
+    v /= _length(*np.moveaxis(v, -1, 0))[..., None]
+    return Sphere2Map(phi, v)
 
 
 def _spectral_d(v, out=None):
@@ -134,75 +145,86 @@ def _spectral_d(v, out=None):
     return np.fft.irfft(spec, n, out=out)
 
 
-def _gradients(sm, values=None):
-    """(d/dphi, d/dlam) of a (possibly non-unit) field on sm's grid, each
-    component-first, of shape (3, n_phi, n_lam).
-
-    The field goes one component at a time, so the temporaries stay a few
-    times the size of one component. Each is differentiated in lam by a real
-    FFT along its rows. On uniform rows (and an even n_lam) its meridians
-    are continued over both poles into full periodic circles, phi ->
-    2*pi - phi and lam -> lam + pi, written into one (n_lam, 2 n_phi) buffer
-    with phi as the last axis and differentiated there by a real FFT;
-    nonuniform rows fall back to second-order differences.
+def _d_component(sm, comp, out=None):
+    """(d/dphi, d/dlam) of one (n_phi, n_lam) component on sm's grid; d/dlam
+    is a real FFT along the rows, written into out when given. On uniform
+    rows (and an even n_lam) the meridians are continued over both poles,
+    phi -> 2*pi - phi and lam -> lam + pi, into (n_lam, 2 n_phi) circles
+    differentiated by a real FFT; other rows take second-order differences.
     """
-    v = sm.values if values is None else values
+    comp = np.ascontiguousarray(comp)
     n, n_lam, h = sm.n_phi, sm.n_lam, sm.n_lam // 2
-    spectral = n_lam % 2 == 0 and np.allclose(sm.phi, uniform_rows(n),
-                                              atol=1e-12)
-    d_phi, d_lam = np.empty((2, 3, n, n_lam))
-    circle = np.empty((n_lam, 2 * n)) if spectral else None
+    if n_lam % 2 or not np.allclose(sm.phi, uniform_rows(n), atol=1e-12):
+        d_phi = np.gradient(comp, sm.phi, axis=0, edge_order=2)
+    else:
+        circle = np.empty((n_lam, 2 * n))
+        circle[:, :n] = comp.T
+        circle[:h, n:] = comp[::-1, h:].T
+        circle[h:, n:] = comp[::-1, :h].T
+        d_phi = _spectral_d(circle, out=circle)[:, :n].T
+    return d_phi, _spectral_d(comp, out=out)
+
+
+def _gradients(sm):
+    """(d/dphi, d/dlam) of sm's values, each of shape (3, n_phi, n_lam)."""
+    d_phi, d_lam = np.empty((2, 3, sm.n_phi, sm.n_lam))
     for c in range(3):
-        comp = np.ascontiguousarray(v[..., c])
-        _spectral_d(comp, out=d_lam[c])
-        if spectral:
-            circle[:, :n] = comp.T
-            circle[:h, n:] = comp[::-1, h:].T
-            circle[h:, n:] = comp[::-1, :h].T
-            d_phi[c] = _spectral_d(circle, out=circle)[:, :n].T
-        else:
-            d_phi[c] = np.gradient(comp, sm.phi, axis=0, edge_order=2)
+        d_phi[c] = _d_component(sm, sm.values[..., c], d_lam[c])[0]
     return d_phi, d_lam
 
 
-def _pole_check(sm, d_lam):
-    cap = np.sin(sm.phi) < 0.05
-    if cap.any():
-        worst = np.max(_length(*d_lam[:, cap])
-                       / np.sin(sm.phi)[cap, None])
-        if worst > 1e3:
-            warnings.warn("unresolved variation near a pole",
-                          PoleSingularity, stacklevel=3)
+def _energy(sm, gradients, stacklevel):
+    """int |grad|^2 with the intrinsic metric (area-exact weights) from the
+    (d/dphi, d/dlam) of each component in turn, squared in place; warns,
+    stacklevel frames up, where |d/dlam| / sin(phi) passes 1e3 at a pole."""
+    dens_phi, dens_lam = np.zeros((2, sm.n_phi, sm.n_lam))
+    for d_phi, d_lam in gradients:
+        dens_phi += np.square(d_phi, out=d_phi)
+        dens_lam += np.square(d_lam, out=d_lam)
+        del d_phi, d_lam  # before the next component's buffers
+    s = np.sin(sm.phi)[:, None]
+    cap = s[:, 0] < 0.05
+    if np.any(np.sqrt(dens_lam[cap]) / s[cap] > 1e3):
+        warnings.warn("unresolved variation near a pole", PoleSingularity,
+                      stacklevel=stacklevel)
+    dens_lam /= s ** 2
+    dens_phi += dens_lam
+    return float(np.sum(dens_phi.sum(axis=1) * sm.row_areas()))
+
+
+def _measures(f):
+    """(degree, energy) of f from one gradient pass, kept on f."""
+    if "_measures" not in vars(f):
+        (px, py, pz), (lx, ly, lz) = d_phi, d_lam = _gradients(f)
+        x, y, z = np.moveaxis(f.values, -1, 0)
+        integrand = (x * (py * lz - pz * ly) + y * (pz * lx - px * lz)
+                     + z * (px * ly - py * lx))
+        widths = np.diff(f._row_edges())  # of the cell rows in phi
+        degree = float(np.sum(integrand.sum(axis=1) * widths)
+                       * (TWO_PI / f.n_lam) / (4.0 * PI))
+        del integrand  # first, so the energy does not raise the peak
+        energy = _energy(f, zip(d_phi, d_lam), stacklevel=4)
+        object.__setattr__(f, "_measures", (degree, energy))
+    return f._measures
 
 
 def degree_kronecker_s2(f):
     """(1/4pi) int f . (df/dphi x df/dlam) dphi dlam (a float)."""
-    d_phi, d_lam = _gradients(f)
-    _pole_check(f, d_lam)
-    (px, py, pz), (lx, ly, lz) = d_phi, d_lam
-    x, y, z = np.moveaxis(f.values, -1, 0)
-    integrand = (x * (py * lz - pz * ly) + y * (pz * lx - px * lz)
-                 + z * (px * ly - py * lx))
-    dlam = TWO_PI / f.n_lam
-    widths = np.diff(f._row_edges())  # of the cell rows in phi
-    return float(np.sum(integrand.sum(axis=1) * widths) * dlam / (4.0 * PI))
+    return _measures(f)[0]
 
 
-def dirichlet_energy(f, values=None):
+def dirichlet_energy(f):
     """int_{S^2} |grad f|^2 with the intrinsic metric (area-exact weights)."""
-    d_phi, d_lam = _gradients(f, values)
-    _pole_check(f, d_lam)
-    s = np.sin(f.phi)[:, None]
-    dens = np.einsum("cij,cij->ij", d_phi, d_phi) \
-        + np.einsum("cij,cij->ij", d_lam, d_lam) / s ** 2
-    return float(np.sum(dens.sum(axis=1) * f.row_areas()))
+    return _measures(f)[1]
 
 
 def h1_distance(f, g):
-    """sqrt( int |grad(f - g)|^2 )."""
+    """sqrt( int |grad(f - g)|^2 ), one component of f - g at a time."""
     if f.values.shape != g.values.shape or not np.allclose(f.phi, g.phi):
         raise GridMismatch("sphere grids differ")
-    return float(np.sqrt(dirichlet_energy(f, f.values - g.values)))
+    return float(np.sqrt(_energy(f, (
+        _d_component(f, f.values[..., c] - g.values[..., c])
+        for c in range(3)), stacklevel=3)))
 
 
 def stereographic_power(d, n_phi=None):

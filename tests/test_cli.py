@@ -143,6 +143,15 @@ MISUSE = [
      "--method", "w1p"),
     ("optimize", "--from", "power:d=0", "--to-class", "1", "--s", "1",
      "--p", "inf"),
+    # a bump radius 1/n needs n >= 1: n = 0 divided by zero, and n < 0
+    # built a map of the wrong degree or asked for a negative grid
+    ("degree", "--map", "multibump:d=1,n=0"),
+    ("experiment", "multibump-scaling", "--param", "n=0"),
+    ("degree", "--map", "multibump:d=1,n=-2"),
+    ("degree", "--map", "multibump:d=1,ndim=2,n=-3"),
+    ("sweep", "product-shift", "--d", "0"),
+    ("experiment", "product-shift-scaling", "--param", "d=0"),
+    ("experiment", "s2-vo1", "--param", "d_list=3,3"),
 ]
 
 
@@ -163,6 +172,11 @@ RULES = [
     (("experiment", "s2-vo1", "--param", "d_list=3"),
      "s2-vo1 needs two degrees or more"),
     (("degree", "--map", "denseonto:d1=1,n=-3"), "need n >= 1, got -3"),
+    (("degree", "--map", "multibump:d=1,n=0"), "multibump needs n >= 1"),
+    (("sweep", "product-shift", "--d", "0"),
+     "product-shift-scaling needs d != 0"),
+    (("experiment", "s2-vo1", "--param", "d_list=3,7,3"),
+     "all distinct, got (3, 7, 3)"),
 ]
 
 
@@ -231,6 +245,14 @@ class TestRejectedSizes:
         assert cli.main(list(argv)) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("nphi", [0, -3])
+    def test_sphere_grid_needs_a_row(self, capsys, nphi):
+        assert cli.main(["degree", "--map", f"stereo:d=0,nphi={nphi}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert err.strip().endswith("need nphi >= 1")
         assert len(err.strip().splitlines()) == 1
 
     @staticmethod

@@ -2,13 +2,14 @@
 
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spheremaps import experiments, gallery, sphere2
 from spheremaps.errors import (GridMismatch, GridTooCoarse, Overcrowded,
-                               ParameterError)
+                               ParameterError, PoleSingularity)
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -39,6 +40,9 @@ class TestGridGeometry:
             sphere2.uniform_rows(1025)
         with pytest.raises(ParameterError):
             sphere2.geometric_rows(1e-6, 1025)
+        for n_phi in (0, -3):
+            with pytest.raises(ParameterError, match="need nphi >= 1"):
+                sphere2.uniform_rows(n_phi)
 
     def test_grid_mismatch_raises(self):
         f = sphere2.stereographic_power(1, n_phi=32)
@@ -171,6 +175,19 @@ class TestGradients:
             tracemalloc.stop()
         assert peak <= 300e6
 
+    def test_h1_distance_streams_under_150_mb(self):
+        # one component of f - g at a time: the full (n, L, 3) difference
+        # and (3, n, L) gradient arrays would take 233 MB
+        f = sphere2.stereographic_power(204, n_phi=1020)
+        g = sphere2.antipode(f)
+        tracemalloc.start()
+        try:
+            sphere2.h1_distance(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 150e6
+
 
 class TestAntipodeAndBumps:
     def test_antipode_flips_degree(self):
@@ -195,6 +212,71 @@ class TestAntipodeAndBumps:
     def test_radius_under_six_rows_raises(self, n, n_phi):
         with pytest.raises(GridTooCoarse):
             sphere2.multi_bump_s2(2, n, n_phi=n_phi)
+
+
+def _full_array_h1(f, g):
+    """The H^1 distance of f and g from the (3, n_phi, n_lam) gradients of
+    the whole difference field f - g, summed over components by einsum."""
+    diff = SimpleNamespace(phi=f.phi, values=f.values - g.values,
+                           n_phi=f.n_phi, n_lam=f.n_lam)
+    d_phi, d_lam = sphere2._gradients(diff)
+    s = np.sin(f.phi)[:, None]
+    dens = np.einsum("cij,cij->ij", d_phi, d_phi) \
+        + np.einsum("cij,cij->ij", d_lam, d_lam) / s ** 2
+    return float(np.sqrt(np.sum(dens.sum(axis=1) * f.row_areas())))
+
+
+def _stereo_and_antipode(d, n_phi):
+    f = sphere2.stereographic_power(d, n_phi=n_phi)
+    return SimpleNamespace(f=f, g=sphere2.antipode(f))
+
+
+H1_PAIRS = {
+    "vo1": lambda: sphere2.vo1_pair(3, 0, n_phi=128),
+    "vo1-insertion": lambda: sphere2.vo1_pair(2, 1, n_phi=96),
+    "stereo-antipode": lambda: _stereo_and_antipode(3, 64),
+    "bump-geometric-rows": lambda: sphere2.bump_pair_s2(
+        gallery.capacity_profiles(1e-2), n_phi=128),
+}
+
+
+class TestOnePassPerMap:
+    @pytest.mark.parametrize("name", H1_PAIRS)
+    def test_streamed_h1_equals_full_array_quadrature(self, name):
+        pair = H1_PAIRS[name]()
+        assert sphere2.h1_distance(pair.f, pair.g) == _full_array_h1(pair.f,
+                                                                     pair.g)
+
+    def test_degree_and_energy_share_one_gradient_pass(self, monkeypatch):
+        calls, gradients = [], sphere2._gradients
+        monkeypatch.setattr(sphere2, "_gradients",
+                            lambda sm: calls.append(sm) or gradients(sm))
+        f = sphere2.stereographic_power(2, n_phi=64)
+        deg = sphere2.degree_kronecker_s2(f)
+        en = sphere2.dirichlet_energy(f)
+        assert (sphere2.degree_kronecker_s2(f), len(calls)) == (deg, 1)
+        assert abs(deg - 2) < 1e-3 and abs(en - 16.0 * PI) < 0.01 * 16 * PI
+
+    def test_values_are_read_only(self):
+        f = sphere2.stereographic_power(1, n_phi=32)
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0, 0] = (0.0, 0.0, 1.0)
+
+    def test_pole_warning_fires_once_per_map(self):
+        # (cos lam, sin lam, 0) on every row, from colatitude 1e-6, does
+        # not settle at the poles: |d/dlam| / sin(phi) is 1e6 on row one
+        phi = sphere2.geometric_rows(1e-6, 64)
+        lam = TWO_PI * np.arange(64) / 64
+        values = np.stack(np.broadcast_arrays(
+            np.cos(lam), np.sin(lam), 0.0 * phi[:, None]), axis=-1)
+        f = sphere2.Sphere2Map(phi, values)
+        with pytest.warns(PoleSingularity) as caught:
+            sphere2.degree_kronecker_s2(f)
+            sphere2.dirichlet_energy(f)
+        assert len(caught) == 1 and caught[0].filename == __file__
+        with pytest.warns(PoleSingularity) as caught:
+            sphere2.h1_distance(f, sphere2.antipode(f))
+        assert len(caught) == 1 and caught[0].filename == __file__
 
 
 class TestPairFields:
