@@ -5,8 +5,8 @@ class GridTooCoarse(ValueError):
     """A grid cannot resolve its map: circle samples more than pi apart or a
     lift that does not close, a phase model that steps pi or more from one
     node to the next, a circle size not a power of two >= 16, more ansatz
-    modes than nodes, a bump radius under 6 sphere rows, or fewer than 5|w|
-    sphere rows for a winding w (so |w| > 204 exceeds the cap)."""
+    modes than nodes, a bump radius under 6 sphere rows, or fewer than
+    max(1, 5|w|) sphere rows for a winding w (|w| > 204 exceeds the cap)."""
 
 
 class GridMismatch(ValueError):
