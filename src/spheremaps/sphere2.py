@@ -76,8 +76,8 @@ class Sphere2Map:
 
 def _check_rows(n_phi):
     if not 1 <= n_phi <= MAX_NPHI:
-        raise ParameterError(f"{n_phi} sphere grid rows: need nphi >= 1, "
-                             f"and no more than the cap of {MAX_NPHI}")
+        raise ParameterError(
+            f"{n_phi} sphere grid rows: need 1 <= nphi <= {MAX_NPHI}")
 
 
 def uniform_rows(n_phi):

@@ -41,7 +41,7 @@ class TestGridGeometry:
         with pytest.raises(ParameterError):
             sphere2.geometric_rows(1e-6, 1025)
         for n_phi in (0, -3):
-            with pytest.raises(ParameterError, match="need nphi >= 1"):
+            with pytest.raises(ParameterError, match="need 1 <= nphi <= 1024"):
                 sphere2.uniform_rows(n_phi)
 
     def test_grid_mismatch_raises(self):
