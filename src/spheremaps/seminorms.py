@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import grid
 from .errors import (IndexOutOfRange, MissingDerivative, NotACircleMap,
@@ -129,6 +130,37 @@ def _abs_modes(m):
 _MAX_NODES_P = 1 << 15
 
 
+# offsets per block of the p != 2 sum: 4, 8 and 16 run alike at M = 8192
+_OFFSETS = 8
+
+
+def _offset_sums(v, p):
+    """S_k = sum_j |v_j - v_{j+k}|^p for k = 1..M-1, from k <= M/2.
+
+    Blocks of _OFFSETS offsets share two (_OFFSETS, M) planes, filled in
+    place: each entry sees the operations of (d.real ** 2 + d.imag ** 2)
+    ** (p / 2) in that order, and each row is summed like one np.sum, so
+    the sums are those of a loop over single offsets, bit for bit.
+    """
+    m, half = v.size, v.size // 2
+    parts = [np.ascontiguousarray(c(v), float) for c in (np.real, np.imag)]
+    windows = [sliding_window_view(np.concatenate((c, c)), m) for c in parts]
+    plane, scratch = np.empty((2, min(_OFFSETS, half), m))
+    sums = np.empty(m - 1)
+    for k in range(1, half + 1, _OFFSETS):
+        n = min(_OFFSETS, half + 1 - k)
+        d, t = plane[:n], scratch[:n]
+        np.subtract(parts[0], windows[0][k:k + n], out=d)
+        d **= 2
+        np.subtract(parts[1], windows[1][k:k + n], out=t)
+        t **= 2
+        d += t
+        d **= p / 2.0
+        d.sum(axis=1, out=sums[k - 1:k - 1 + n])
+    sums[m - half - 1:] = sums[half - 1::-1]  # S_{M-k} = S_k
+    return sums
+
+
 def gagliardo_seminorm(h, s, p):
     """Gagliardo W^{s,p} semi-norm by the periodic double sum.
 
@@ -137,6 +169,8 @@ def gagliardo_seminorm(h, s, p):
     The offset sums S_k = sum_j |v_j - v_{j+k}|^p satisfy S_k = S_{M-k}, so
     only k <= M/2 is summed.  At p = 2 all of them come from one FFT
     autocorrelation, S_k = 2 sum |v|^2 - 2 Re corr(k), in O(M log M).
+    A constant is 0 at any p; a sum that leaves the floating-point range
+    (at a large p) raises IndexOutOfRange.
     """
     if not (0.0 < s < 1.0):
         raise IndexOutOfRange(f"Gagliardo index needs 0 < s < 1, got {s}")
@@ -151,19 +185,22 @@ def gagliardo_seminorm(h, s, p):
     dtheta = TWO_PI / m
     k = np.arange(1, m)
     dist = dtheta * np.minimum(k, m - k)
-    if p == 2:
-        v = v - np.mean(v)  # differences are unchanged; the energy shrinks
-        corr = np.fft.ifft(np.abs(np.fft.fft(v)) ** 2).real
-        offset_sums = 2.0 * (corr[0] - corr[1:])
-    else:
-        vv = np.concatenate((v, v))
-        offset_sums = np.empty(m - 1)
-        for kk in range(1, m // 2 + 1):
-            d = v - vv[kk:kk + m]
-            offset_sums[kk - 1] = offset_sums[m - kk - 1] = np.sum(
-                (d.real ** 2 + d.imag ** 2) ** (p / 2.0))
-    total = np.sum(offset_sums / dist ** (1.0 + s * p)) * dtheta ** 2
-    return total ** (1.0 / p)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if p == 2:
+            v = v - np.mean(v)  # differences are unchanged; the energy shrinks
+            corr = np.fft.ifft(np.abs(np.fft.fft(v)) ** 2).real
+            offset_sums = 2.0 * (corr[0] - corr[1:])
+        else:
+            offset_sums = _offset_sums(v, p)
+        if not np.any(offset_sums):
+            return 0.0
+        value = (np.sum(offset_sums / dist ** (1.0 + s * p))
+                 * dtheta ** 2) ** (1.0 / p)
+    if not np.isfinite(value):
+        raise IndexOutOfRange(
+            f"the Gagliardo sum at (s, p) = ({s:g}, {p:g}) leaves the "
+            f"floating-point range: use a smaller p")
+    return value
 
 
 # rows per block of the dense kernels: one block holds _ROWS x N entries
@@ -204,19 +241,39 @@ def gagliardo_even(values, radii, s, p):
             f"{_MAX_NODES_P} nodes, got {r.size}")
     gaps = np.diff(np.concatenate(([0.0], r, [PI])))
     w = 0.5 * (gaps[:-1] + gaps[1:])
+    q = 1.0 + s * p
+    # one kernel plane and one scratch plane, reused by every block
+    flat = np.empty((2, min(_ROWS, r.size) * r.size))
 
     def block(a, b):
-        direct = np.abs(r[a:b, None] - r[None, a:])
-        np.fill_diagonal(direct, 1.0)
-        kern = 1.0 / direct ** (1.0 + s * p)
-        np.fill_diagonal(kern, 0.0)
-        summed = r[a:b, None] + r[None, a:]
-        arc = np.minimum(summed, TWO_PI - summed)
-        kern += 1.0 / arc ** (1.0 + s * p)
-        kern *= np.abs(v[a:b, None] - v[None, a:]) ** p
+        kern, tmp = (x[:(b - a) * (r.size - a)].reshape(b - a, -1)
+                     for x in flat)
+        # the reflected term first: the sum k(|x-y|) + k(x+y) commutes
+        np.add(r[a:b, None], r[None, a:], out=tmp)
+        np.subtract(TWO_PI, tmp, out=kern)
+        np.minimum(tmp, kern, out=kern)
+        kern **= q
+        np.divide(1.0, kern, out=kern)
+        np.subtract(r[a:b, None], r[None, a:], out=tmp)
+        np.abs(tmp, out=tmp)
+        np.fill_diagonal(tmp, 1.0)
+        tmp **= q
+        np.divide(1.0, tmp, out=tmp)
+        np.fill_diagonal(tmp, 0.0)
+        kern += tmp
+        np.subtract(v[a:b, None], v[None, a:], out=tmp)
+        np.abs(tmp, out=tmp)
+        tmp **= p
+        kern *= tmp
         return kern
 
-    return (2.0 * _symmetric_form(w, block)) ** (1.0 / p)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = (2.0 * _symmetric_form(w, block)) ** (1.0 / p)
+    if not np.isfinite(value):
+        raise IndexOutOfRange(
+            f"the even Gagliardo sum at (s, p) = ({s:g}, {p:g}) leaves the "
+            f"floating-point range on nodes {np.min(gaps[:-1]):.3g} apart")
+    return value
 
 
 def _difference(h, g):

@@ -20,6 +20,7 @@ NORTH = np.array([0.0, 0.0, 1.0])
 DEFAULT_NPHI = 128  # rows of a grid when none is given
 MAX_NPHI = 1024  # row cap: 1024 rows x 2048 longitudes of vectors take 50 MB
 PROFILE_R = 0.9  # the suspension and vo1 profiles are constant from r = R on
+_ROWS = 64  # grid rows per block of the degree integrand
 
 
 def _length(x, y, z):
@@ -147,12 +148,12 @@ def _spectral_d(v, out=None):
 
 def _d_component(sm, comp, out=None):
     """(d/dphi, d/dlam) of one (n_phi, n_lam) component on sm's grid; d/dlam
-    is a real FFT along the rows, written into out when given. On uniform
-    rows (and an even n_lam) the meridians are continued over both poles,
-    phi -> 2*pi - phi and lam -> lam + pi, into (n_lam, 2 n_phi) circles
-    differentiated by a real FFT; other rows take second-order differences.
+    is a real FFT along the rows, written into out when given (out may be
+    comp itself, which is read first). On uniform rows (and an even n_lam)
+    the meridians are continued over both poles, phi -> 2*pi - phi and
+    lam -> lam + pi, into (n_lam, 2 n_phi) circles differentiated by a real
+    FFT; other rows take second-order differences.
     """
-    comp = np.ascontiguousarray(comp)
     n, n_lam, h = sm.n_phi, sm.n_lam, sm.n_lam // 2
     if n_lam % 2 or not np.allclose(sm.phi, uniform_rows(n), atol=1e-12):
         d_phi = np.gradient(comp, sm.phi, axis=0, edge_order=2)
@@ -169,7 +170,8 @@ def _gradients(sm):
     """(d/dphi, d/dlam) of sm's values, each of shape (3, n_phi, n_lam)."""
     d_phi, d_lam = np.empty((2, 3, sm.n_phi, sm.n_lam))
     for c in range(3):
-        d_phi[c] = _d_component(sm, sm.values[..., c], d_lam[c])[0]
+        d_lam[c] = sm.values[..., c]  # a contiguous copy, overwritten last
+        d_phi[c] = _d_component(sm, d_lam[c], d_lam[c])[0]
     return d_phi, d_lam
 
 
@@ -195,14 +197,17 @@ def _energy(sm, gradients, stacklevel):
 def _measures(f):
     """(degree, energy) of f from one gradient pass, kept on f."""
     if "_measures" not in vars(f):
-        (px, py, pz), (lx, ly, lz) = d_phi, d_lam = _gradients(f)
-        x, y, z = np.moveaxis(f.values, -1, 0)
-        integrand = (x * (py * lz - pz * ly) + y * (pz * lx - px * lz)
-                     + z * (px * ly - py * lx))
+        d_phi, d_lam = _gradients(f)
+        row_sums = np.empty(f.n_phi)
+        for a in range(0, f.n_phi, _ROWS):  # the integrand, a block at a time
+            b = slice(a, a + _ROWS)
+            (px, py, pz), (lx, ly, lz) = d_phi[:, b], d_lam[:, b]
+            x, y, z = np.moveaxis(f.values[b], -1, 0)
+            row_sums[b] = (x * (py * lz - pz * ly) + y * (pz * lx - px * lz)
+                           + z * (px * ly - py * lx)).sum(axis=1)
         widths = np.diff(f._row_edges())  # of the cell rows in phi
-        degree = float(np.sum(integrand.sum(axis=1) * widths)
+        degree = float(np.sum(row_sums * widths)
                        * (TWO_PI / f.n_lam) / (4.0 * PI))
-        del integrand  # first, so the energy does not raise the peak
         energy = _energy(f, zip(d_phi, d_lam), stacklevel=4)
         object.__setattr__(f, "_measures", (degree, energy))
     return f._measures
@@ -303,19 +308,24 @@ def _with_bumps(sm, k, ring, radius, up_degree):
                                                  * np.sin(PI / k)):
         raise Overcrowded(f"{k} bumps of radius {radius:g} do not fit on the "
                           f"ring at colatitude {ring:g}")
-    points = _radial(sm.phi[:, None], np.exp(1j * sm.lam))
+    # the discs lie on the rows within radius of the ring in colatitude;
+    # one more row on each side keeps the rounding of r off the band's edge
+    lo, hi = np.searchsorted(sm.phi, (ring - radius, ring + radius))
+    band = slice(max(lo - 1, 0), hi + 1)
+    points = _radial(sm.phi[band, None], np.exp(1j * sm.lam))
     values = sm.values.copy()
+    on_band = values[band]
     dh = -int(np.sign(up_degree))  # chart formula gives deg = -dh per turn
     for j in range(k):
         c, e1, e2 = _chart_basis(_radial(ring, np.exp(1j * TWO_PI * j / k)))
         r = np.arccos(np.clip(points @ c, -1.0, 1.0))
         mask = r < radius
-        if not np.allclose(values[mask], NORTH, atol=1e-9):
+        if not np.allclose(on_band[mask], NORTH, atol=1e-9):
             raise ValueError("bump target region is not constant north")
         p = points[mask]
         alpha = np.arctan2(p @ e2, p @ e1)
         prof = PI * (1.0 - gallery.smoothstep(r[mask] / radius))
-        values[mask] = _radial(prof, np.exp(1j * dh * alpha))
+        on_band[mask] = _radial(prof, np.exp(1j * dh * alpha))
     return Sphere2Map(sm.phi, values)
 
 
@@ -366,8 +376,9 @@ def vo1_pair(d1, d2, n_phi=None):
 
     n_phi = 256 if n_phi is None else n_phi
     f, g = (_polar(profile, d1 - d2, R, n_phi=n_phi) for profile in (F, G))
-    if d2 != 0:
-        f, g = (_with_bumps(h, abs(d2), R / 6.0, min(0.06, R / 12.0), d2)
-                for h in (f, g))
+    if d2 != 0:  # one map at a time, so each unbumped map goes first
+        bumps = (abs(d2), R / 6.0, min(0.06, R / 12.0), d2)
+        f = _with_bumps(f, *bumps)
+        g = _with_bumps(g, *bumps)
     return gallery.GalleryPair(f, g, {"d1": d1, "d2": d2, "R": R},
                                "vo1_independent")

@@ -152,6 +152,12 @@ MISUSE = [
     ("sweep", "product-shift", "--d", "0"),
     ("experiment", "product-shift-scaling", "--param", "d=0"),
     ("experiment", "s2-vo1", "--param", "d_list=3,3"),
+    # the Gagliardo sums leave the float range: each printed nan, exit 0
+    ("seminorm", "--map", "power:d=3", "--s", "0.5", "--p", "250"),
+    ("seminorm", "--map", "power:d=3", "--s", "0.5", "--p", "700"),
+    ("seminorm", "--map", "power:d=3", "--s", "0.99", "--p", "300"),
+    ("pair", "--pair", "zigzag:d1=1,d2=0", "--s", "0.5", "--p", "1e300"),
+    ("sweep", "capacity", "--eps", "1e-300"),
 ]
 
 
@@ -347,6 +353,18 @@ class TestCommands:
         row = r.stdout.strip().splitlines()[-1].split(",")
         val_sq = float(row[header.index("value_sq")])
         assert abs(val_sq - 4.0 * PI ** 2) < 1e-8
+
+    def test_large_p_gagliardo_exits_two_without_warnings(self):
+        r = run_cli("seminorm", "--map", "power:d=3", "--s", "0.5",
+                    "--p", "700")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+    def test_large_p_gagliardo_of_a_constant_is_zero(self):
+        r = run_cli("seminorm", "--map", "power:d=0", "--s", "0.5",
+                    "--p", "700", "--method", "gagliardo")
+        assert r.returncode == 0 and r.stderr == ""
+        assert r.stdout.splitlines()[-1] == "gagliardo_quadrature,0.5,700,0"
 
     def test_pair_zigzag(self):
         r = run_cli("pair", "--pair", "zigzag:d1=1,d2=0", "--s", "1",

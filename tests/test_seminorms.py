@@ -2,7 +2,9 @@
 Gagliardo double sums, and the metric axioms they must satisfy."""
 
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +211,28 @@ class TestGagliardo:
         v2 = seminorms.gagliardo_seminorm(f2, 0.5, 2.0)
         assert abs(v2 - v1) / v1 < 0.02
 
+    @pytest.mark.parametrize("p", [250.0, 700.0, 1e300])
+    def test_sum_out_of_float_range_raises_without_warnings(self, p):
+        # |d|^p overflows, or dist^(1 + s p) underflows to 0 and 0/0 is nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IndexOutOfRange,
+                               match=re.escape(f"(0.5, {p:g})")):
+                seminorms.gagliardo_seminorm(grid.power_map(3), 0.5, p)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 700.0, 1e300])
+    def test_constant_is_zero_at_any_p(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert seminorms.gagliardo_seminorm(grid.power_map(0), 0.5, p) == 0
+
+    def test_even_sum_out_of_float_range_names_the_node_spacing(self):
+        h, rr = _capacity_nodes(1e-300, nodes=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IndexOutOfRange, match="apart"):
+                seminorms.gagliardo_even(h, rr, 0.5, 2.0)
+
     def test_nonuniform_matches_uniform(self):
         m = 4096
         t = grid.nodes(m)
@@ -290,6 +314,46 @@ def _loop_gagliardo(v, s, p):
         offset_sums[i] = np.sum(np.abs(v - np.roll(v, -kk)) ** p)
     total = np.sum(offset_sums / dist ** (1.0 + s * p)) * dtheta ** 2
     return total ** (1.0 / p)
+
+
+def _offset_loop_gagliardo(h, s, p):
+    """gagliardo_seminorm at p != 2 with one offset per pass: the form
+    whose bits the blocked offset sums must keep."""
+    v = seminorms._values(h)
+    m = v.size
+    dtheta = TWO_PI / m
+    k = np.arange(1, m)
+    dist = dtheta * np.minimum(k, m - k)
+    vv = np.concatenate((v, v))
+    offset_sums = np.empty(m - 1)
+    for kk in range(1, m // 2 + 1):
+        d = v - vv[kk:kk + m]
+        offset_sums[kk - 1] = offset_sums[m - kk - 1] = np.sum(
+            (d.real ** 2 + d.imag ** 2) ** (p / 2.0))
+    total = np.sum(offset_sums / dist ** (1.0 + s * p)) * dtheta ** 2
+    return total ** (1.0 / p)
+
+
+def _fresh_block_even(values, radii, s, p):
+    """gagliardo_even with fresh arrays for every block: the form whose
+    bits the reused planes must keep."""
+    v = np.asarray(values, dtype=float)
+    r = np.asarray(radii, dtype=float)
+    gaps = np.diff(np.concatenate(([0.0], r, [PI])))
+    w = 0.5 * (gaps[:-1] + gaps[1:])
+
+    def block(a, b):
+        direct = np.abs(r[a:b, None] - r[None, a:])
+        np.fill_diagonal(direct, 1.0)
+        kern = 1.0 / direct ** (1.0 + s * p)
+        np.fill_diagonal(kern, 0.0)
+        summed = r[a:b, None] + r[None, a:]
+        arc = np.minimum(summed, TWO_PI - summed)
+        kern += 1.0 / arc ** (1.0 + s * p)
+        kern *= np.abs(v[a:b, None] - v[None, a:]) ** p
+        return kern
+
+    return (2.0 * seminorms._symmetric_form(w, block)) ** (1.0 / p)
 
 
 def _dense_nonuniform(values, thetas, s, p):
@@ -381,6 +445,40 @@ class TestGagliardoAgainstReference:
         hh = np.concatenate([prof.H(rr), prof.H(rr)[::-1]])
         assert _rel(_gagliardo_nonuniform(hh, th, 0.5, p),
                     _dense_nonuniform(hh, th, 0.5, p)) <= 1e-12
+
+    @pytest.mark.parametrize("case", [
+        "power-16", "real-17", "complex-17", "random-1024",
+        "difference-1024", "random-8192"])
+    def test_blocked_offset_sums_keep_the_bits(self, case):
+        kind, m = case.split("-")
+        m = int(m)
+        rng = np.random.default_rng(m)
+        h = {"power": lambda: grid.power_map(3, m),
+             "real": lambda: rng.standard_normal(m),
+             "complex": lambda: (rng.standard_normal(m)
+                                 + 1j * rng.standard_normal(m)),
+             "random": lambda: gallery.random_map(2, rng, m=m),
+             "difference": lambda: (gallery.random_map(1, rng, m=m).samples
+                                    - grid.power_map(-2, m).samples)}[kind]()
+        for p in (1.0, 1.5, 3.0, 4.0):
+            for s in ((0.5,) if m > 1024 else (0.25, 0.5, 0.75)):
+                assert (seminorms.gagliardo_seminorm(h, s, p)
+                        == _offset_loop_gagliardo(h, s, p))
+
+    @pytest.mark.parametrize("n", [5, 64, 200])
+    @pytest.mark.parametrize("s,p", [(0.5, 2.0), (0.3, 1.5), (0.75, 3.0)])
+    def test_reused_even_planes_keep_the_bits(self, n, s, p):
+        rng = np.random.default_rng(n)
+        rr = np.sort(rng.uniform(1e-3, PI, n))
+        h = np.cos(rr) + 0.1 * rng.standard_normal(n)
+        assert (seminorms.gagliardo_even(h, rr, s, p)
+                == _fresh_block_even(h, rr, s, p))
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-10, 1e-16])
+    def test_reused_even_planes_keep_the_bits_on_capacity_nodes(self, eps):
+        h, rr = _capacity_nodes(eps)
+        assert (seminorms.gagliardo_even(h, rr, 0.5, 2.0)
+                == _fresh_block_even(h, rr, 0.5, 2.0))
 
     def test_even_memory_stays_within_a_block(self):
         # the dense form held about seven 1500 x 1500 float arrays (120 MB)

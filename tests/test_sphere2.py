@@ -164,8 +164,9 @@ class TestGradients:
         assert np.max(np.abs(got_phi - d_phi)) < 0.35 * h ** 2
         assert np.max(np.abs(got_lam - d_lam)) < 1e-12
 
-    def test_largest_degree_peaks_under_300_mb(self):
-        # 1020 rows x 2040 longitudes: one field of vectors takes 50 MB
+    def test_largest_degree_peaks_under_225_mb(self):
+        # 1020 rows x 2040 longitudes: one field of vectors takes 50 MB, and
+        # its build and degree pass peak at 216.7e6 bytes
         tracemalloc.start()
         try:
             sphere2.degree_kronecker_s2(
@@ -173,7 +174,7 @@ class TestGradients:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 300e6
+        assert peak <= 225e6
 
     def test_h1_distance_streams_under_150_mb(self):
         # one component of f - g at a time: the full (n, L, 3) difference
@@ -212,6 +213,49 @@ class TestAntipodeAndBumps:
     def test_radius_under_six_rows_raises(self, n, n_phi):
         with pytest.raises(GridTooCoarse):
             sphere2.multi_bump_s2(2, n, n_phi=n_phi)
+
+    @pytest.mark.parametrize("d2,n_phi", [(1, 64), (7, 256), (-3, 199)])
+    def test_band_insertion_keeps_the_bits(self, d2, n_phi):
+        pair = sphere2.vo1_pair(2, d2, n_phi=n_phi)
+        bare = sphere2.vo1_pair(2 - d2, 0, n_phi=n_phi)
+        bumps = (abs(d2), sphere2.PROFILE_R / 6.0,
+                 min(0.06, sphere2.PROFILE_R / 12.0), d2)
+        for h, base in ((pair.f, bare.f), (pair.g, bare.g)):
+            assert np.array_equal(h.values,
+                                  _whole_sphere_bumps(base, *bumps).values)
+        north = sphere2._polar(np.zeros_like, 0, n_phi=311)
+        assert np.array_equal(
+            sphere2.multi_bump_s2(3, 16, n_phi=311).values,
+            _whole_sphere_bumps(north, 3, PI / 2.0, 1.0 / 16, 3).values)
+
+    def test_seven_insertion_bumps_peak_under_190_mb(self):
+        # 1000 rows: the pair takes 96 MB and peaks at 179.0e6 bytes; on
+        # whole-sphere arrays per bump it peaked at 290e6
+        tracemalloc.start()
+        try:
+            sphere2.vo1_pair(1, 7, n_phi=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 190e6
+
+
+def _whole_sphere_bumps(sm, k, ring, radius, up_degree):
+    """sphere2._with_bumps on whole-sphere arrays: the form whose bits the
+    band of rows must keep."""
+    points = sphere2._radial(sm.phi[:, None], np.exp(1j * sm.lam))
+    values = sm.values.copy()
+    dh = -int(np.sign(up_degree))
+    for j in range(k):
+        c, e1, e2 = sphere2._chart_basis(
+            sphere2._radial(ring, np.exp(1j * TWO_PI * j / k)))
+        r = np.arccos(np.clip(points @ c, -1.0, 1.0))
+        mask = r < radius
+        p = points[mask]
+        alpha = np.arctan2(p @ e2, p @ e1)
+        prof = PI * (1.0 - gallery.smoothstep(r[mask] / radius))
+        values[mask] = sphere2._radial(prof, np.exp(1j * dh * alpha))
+    return sphere2.Sphere2Map(sm.phi, values)
 
 
 def _full_array_h1(f, g):
@@ -256,6 +300,18 @@ class TestOnePassPerMap:
         en = sphere2.dirichlet_energy(f)
         assert (sphere2.degree_kronecker_s2(f), len(calls)) == (deg, 1)
         assert abs(deg - 2) < 1e-3 and abs(en - 16.0 * PI) < 0.01 * 16 * PI
+
+    @pytest.mark.parametrize("name,n_phi", [("stereo", 200), ("bumps", 256)])
+    def test_blocked_degree_integrand_keeps_the_bits(self, name, n_phi):
+        f = {"stereo": lambda: sphere2.stereographic_power(3, n_phi=n_phi),
+             "bumps": lambda: sphere2.multi_bump_s2(2, 8, n_phi=n_phi)}[name]()
+        (px, py, pz), (lx, ly, lz) = sphere2._gradients(f)
+        x, y, z = np.moveaxis(f.values, -1, 0)
+        integrand = (x * (py * lz - pz * ly) + y * (pz * lx - px * lz)
+                     + z * (px * ly - py * lx))
+        degree = float(np.sum(integrand.sum(axis=1) * np.diff(f._row_edges()))
+                       * (TWO_PI / f.n_lam) / (4.0 * PI))
+        assert sphere2.degree_kronecker_s2(f) == degree
 
     def test_values_are_read_only(self):
         f = sphere2.stereographic_power(1, n_phi=32)
