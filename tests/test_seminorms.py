@@ -423,8 +423,9 @@ class TestGagliardoAgainstReference:
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-10, 1e-16])
     def test_even_matches_dense_on_capacity_nodes(self, eps):
         h, rr = _capacity_nodes(eps)
-        assert _rel(seminorms.gagliardo_even(h, rr, 0.5, 2.0),
-                    _dense_even(h, rr, 0.5, 2.0)) <= 1e-12
+        value = seminorms.gagliardo_even(h, rr, 0.5, 2.0)
+        assert _rel(value, _dense_even(h, rr, 0.5, 2.0)) <= 1e-12
+        assert value == _fresh_block_even(h, rr, 0.5, 2.0)  # bit for bit
 
     @pytest.mark.parametrize("n", [5, 64, 200])
     @pytest.mark.parametrize("s,p", [(0.5, 2.0), (0.3, 1.5), (0.75, 3.0)])
@@ -433,8 +434,9 @@ class TestGagliardoAgainstReference:
         rng = np.random.default_rng(n)
         rr = np.sort(rng.uniform(1e-3, PI, n))
         h = np.cos(rr) + 0.1 * rng.standard_normal(n)
-        assert _rel(seminorms.gagliardo_even(h, rr, s, p),
-                    _dense_even(h, rr, s, p)) <= 1e-12
+        value = seminorms.gagliardo_even(h, rr, s, p)
+        assert _rel(value, _dense_even(h, rr, s, p)) <= 1e-12
+        assert value == _fresh_block_even(h, rr, s, p)  # bit for bit
 
     @pytest.mark.parametrize("n", [7, 128, 800])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -464,21 +466,6 @@ class TestGagliardoAgainstReference:
             for s in ((0.5,) if m > 1024 else (0.25, 0.5, 0.75)):
                 assert (seminorms.gagliardo_seminorm(h, s, p)
                         == _offset_loop_gagliardo(h, s, p))
-
-    @pytest.mark.parametrize("n", [5, 64, 200])
-    @pytest.mark.parametrize("s,p", [(0.5, 2.0), (0.3, 1.5), (0.75, 3.0)])
-    def test_reused_even_planes_keep_the_bits(self, n, s, p):
-        rng = np.random.default_rng(n)
-        rr = np.sort(rng.uniform(1e-3, PI, n))
-        h = np.cos(rr) + 0.1 * rng.standard_normal(n)
-        assert (seminorms.gagliardo_even(h, rr, s, p)
-                == _fresh_block_even(h, rr, s, p))
-
-    @pytest.mark.parametrize("eps", [1e-2, 1e-10, 1e-16])
-    def test_reused_even_planes_keep_the_bits_on_capacity_nodes(self, eps):
-        h, rr = _capacity_nodes(eps)
-        assert (seminorms.gagliardo_even(h, rr, 0.5, 2.0)
-                == _fresh_block_even(h, rr, 0.5, 2.0))
 
     def test_even_memory_stays_within_a_block(self):
         # the dense form held about seven 1500 x 1500 float arrays (120 MB)
