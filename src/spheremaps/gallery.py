@@ -173,10 +173,11 @@ def oscillator(d1, n, m=None):
 def arcsin_profile(dt):
     """(arcsin(s/pi) + pi*k, s) for dt = s + 2*pi*k, k the nearest integer:
     the equal-speed profile, climbing pi per 2*pi of dt, whose phases
-    +-phi(d theta) keep |f' - g'| = 2 |phi' cos phi| constant."""
+    +-phi(d theta) keep |f' - g'| = 2 |phi' cos phi| constant. s/pi is
+    clipped to [-1, 1], which rounding may leave by an ulp."""
     k = np.round(dt / TWO_PI)
     s = dt - TWO_PI * k
-    return np.arcsin(s / PI) + PI * k, s
+    return np.arcsin(np.clip(s / PI, -1.0, 1.0)) + PI * k, s
 
 
 def attainment_pair(d1, p, m=None):

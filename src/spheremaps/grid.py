@@ -101,10 +101,21 @@ class CircleMap:
         return nodes(self.m)
 
 
-def _node_step(deriv, m):
-    """max |phi'(theta_j)| * 2*pi/m over the finite derivative values at
-    the nodes of m: the largest phase step from one node to the next."""
-    d = np.abs(deriv(nodes(m)))
+def _node_step(phase, m):
+    """max |phi'| * 2*pi/m over the finite derivative values at the nodes of
+    m: the largest phase step from one node to the next. A node within half
+    a spacing of a breakpoint, where phi' may have an integrable singularity,
+    reads phi' half a spacing from that breakpoint instead."""
+    t = nodes(m)
+    bp = phase.breakpoints
+    if bp.size:
+        ends = np.concatenate((bp - TWO_PI, bp, bp + TWO_PI))
+        i = np.searchsorted(ends, t)
+        near = np.where(t - ends[i - 1] < ends[i] - t, ends[i - 1], ends[i])
+        half = PI / m
+        t = np.where(np.abs(t - near) < half,
+                     near + np.where(t < near, -half, half), t)
+    d = np.abs(phase.deriv(t))
     d = d[np.isfinite(d)]
     return (np.max(d) if d.size else 0.0) * TWO_PI / m
 
@@ -118,10 +129,10 @@ def from_phase(phase, m=None):
     are not compared: a phase model may jump by 2*pi.
     """
     m = DEFAULT_M if m is None else m
-    step = _node_step(phase.deriv, m)
+    step = _node_step(phase, m)
     if step >= PI:
         need = 2 * m
-        while need <= MAX_M and _node_step(phase.deriv, need) >= PI:
+        while need <= MAX_M and _node_step(phase, need) >= PI:
             need *= 2
         raise GridTooCoarse(
             f"the phase steps {step:.3g} rad per node on {m} nodes, at least "

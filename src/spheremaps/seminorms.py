@@ -8,6 +8,8 @@ Fourier value.
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,6 +132,47 @@ def _abs_modes(m):
 _MAX_NODES_P = 1 << 15
 
 
+def _workers():
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split(blocks, share):
+    """Run share(range(i, blocks, w)) for i = 0..w-1: the blocks dealt
+    round-robin to w = min(cores, blocks) shares, at least one.
+
+    The caller runs share 0 and threads run the others; every share sees
+    the caller's np.errstate (a context variable, which a new thread does
+    not inherit). The threads are joined before the first exception of a
+    share is raised here.
+    """
+    w = max(1, min(_workers(), blocks))
+    errors = [None] * w
+    err = np.geterr()
+
+    def run(i):
+        try:
+            with np.errstate(**err):
+                share(range(i, blocks, w))
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, w)]
+    for t in threads:
+        t.start()
+    try:
+        share(range(0, blocks, w))
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 # offsets per block of the p != 2 sum: 4, 8 and 16 run alike at M = 8192
 _OFFSETS = 8
 
@@ -137,26 +180,32 @@ _OFFSETS = 8
 def _offset_sums(v, p):
     """S_k = sum_j |v_j - v_{j+k}|^p for k = 1..M-1, from k <= M/2.
 
-    Blocks of _OFFSETS offsets share two (_OFFSETS, M) planes, filled in
-    place: each entry sees the operations of (d.real ** 2 + d.imag ** 2)
-    ** (p / 2) in that order, and each row is summed like one np.sum, so
-    the sums are those of a loop over single offsets, bit for bit.
+    Blocks of _OFFSETS offsets are dealt to the cores by _split; each share
+    fills two (_OFFSETS, M) planes of its own in place: each entry sees the
+    operations of (d.real ** 2 + d.imag ** 2) ** (p / 2) in that order, and
+    each row is summed like one np.sum, so the sums are those of a loop over
+    single offsets, bit for bit.
     """
     m, half = v.size, v.size // 2
     parts = [np.ascontiguousarray(c(v), float) for c in (np.real, np.imag)]
     windows = [sliding_window_view(np.concatenate((c, c)), m) for c in parts]
-    plane, scratch = np.empty((2, min(_OFFSETS, half), m))
     sums = np.empty(m - 1)
-    for k in range(1, half + 1, _OFFSETS):
-        n = min(_OFFSETS, half + 1 - k)
-        d, t = plane[:n], scratch[:n]
-        np.subtract(parts[0], windows[0][k:k + n], out=d)
-        d **= 2
-        np.subtract(parts[1], windows[1][k:k + n], out=t)
-        t **= 2
-        d += t
-        d **= p / 2.0
-        d.sum(axis=1, out=sums[k - 1:k - 1 + n])
+
+    def share(blocks):
+        plane, scratch = np.empty((2, min(_OFFSETS, half), m))
+        for i in blocks:
+            k = 1 + i * _OFFSETS
+            n = min(_OFFSETS, half + 1 - k)
+            d, t = plane[:n], scratch[:n]
+            np.subtract(parts[0], windows[0][k:k + n], out=d)
+            d **= 2
+            np.subtract(parts[1], windows[1][k:k + n], out=t)
+            t **= 2
+            d += t
+            d **= p / 2.0
+            d.sum(axis=1, out=sums[k - 1:k - 1 + n])
+
+    _split(-(-half // _OFFSETS), share)
     sums[m - half - 1:] = sums[half - 1::-1]  # S_{M-k} = S_k
     return sums
 
@@ -207,17 +256,29 @@ def gagliardo_seminorm(h, s, p):
 _ROWS = 64
 
 
-def _symmetric_form(w, block):
+def _symmetric_form(w, new_block):
     """w @ A @ w for a symmetric N x N matrix A given by row blocks.
 
-    block(a, b) returns A[a:b, a:], the rows a..b-1 from the diagonal on;
-    each block off the diagonal stands for its mirror image too.
+    new_block() returns a function block(a, b) with working planes of its
+    own; block(a, b) returns A[a:b, a:], the rows a..b-1 from the diagonal
+    on, and each block off the diagonal stands for its mirror image too.
+    The row blocks are dealt to the cores by _split, one new_block() per
+    share, and their terms are added here in row order.
     """
+    terms = np.empty(-(-w.size // _ROWS))
+
+    def share(blocks):
+        block = new_block()
+        for i in blocks:
+            a = i * _ROWS
+            b = min(a + _ROWS, w.size)
+            u = w[a:b] @ block(a, b)
+            terms[i] = u[:b - a] @ w[a:b] + 2.0 * (u[b - a:] @ w[b:])
+
+    _split(terms.size, share)
     total = 0.0
-    for a in range(0, w.size, _ROWS):
-        b = min(a + _ROWS, w.size)
-        u = w[a:b] @ block(a, b)
-        total += u[:b - a] @ w[a:b] + 2.0 * (u[b - a:] @ w[b:])
+    for term in terms:
+        total += term
     return float(total)
 
 
@@ -228,8 +289,8 @@ def gagliardo_even(values, radii, s, p):
     Works directly on the half-domain with the reflected kernel
     k(|x-y|) + k(x+y), so nodes can sit arbitrarily deep (e.g. 1e-19)
     without the cancellation a mirrored 2*pi - r node set would suffer.
-    The kernel matrix is summed over its upper block triangle, one row
-    block at a time.
+    The kernel matrix is summed over its upper block triangle, in row
+    blocks split across the cores.
     """
     if not (0.0 < s < 1.0):
         raise IndexOutOfRange(f"Gagliardo index needs 0 < s < 1, got {s}")
@@ -242,33 +303,37 @@ def gagliardo_even(values, radii, s, p):
     gaps = np.diff(np.concatenate(([0.0], r, [PI])))
     w = 0.5 * (gaps[:-1] + gaps[1:])
     q = 1.0 + s * p
-    # one kernel plane and one scratch plane, reused by every block
-    flat = np.empty((2, min(_ROWS, r.size) * r.size))
 
-    def block(a, b):
-        kern, tmp = (x[:(b - a) * (r.size - a)].reshape(b - a, -1)
-                     for x in flat)
-        # the reflected term first: the sum k(|x-y|) + k(x+y) commutes
-        np.add(r[a:b, None], r[None, a:], out=tmp)
-        np.subtract(TWO_PI, tmp, out=kern)
-        np.minimum(tmp, kern, out=kern)
-        kern **= q
-        np.divide(1.0, kern, out=kern)
-        np.subtract(r[a:b, None], r[None, a:], out=tmp)
-        np.abs(tmp, out=tmp)
-        np.fill_diagonal(tmp, 1.0)
-        tmp **= q
-        np.divide(1.0, tmp, out=tmp)
-        np.fill_diagonal(tmp, 0.0)
-        kern += tmp
-        np.subtract(v[a:b, None], v[None, a:], out=tmp)
-        np.abs(tmp, out=tmp)
-        tmp **= p
-        kern *= tmp
-        return kern
+    def new_block():
+        # one kernel plane and one scratch plane, reused by every block
+        flat = np.empty((2, min(_ROWS, r.size) * r.size))
+
+        def block(a, b):
+            kern, tmp = (x[:(b - a) * (r.size - a)].reshape(b - a, -1)
+                         for x in flat)
+            # the reflected term first: the sum k(|x-y|) + k(x+y) commutes
+            np.add(r[a:b, None], r[None, a:], out=tmp)
+            np.subtract(TWO_PI, tmp, out=kern)
+            np.minimum(tmp, kern, out=kern)
+            kern **= q
+            np.divide(1.0, kern, out=kern)
+            np.subtract(r[a:b, None], r[None, a:], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.fill_diagonal(tmp, 1.0)
+            tmp **= q
+            np.divide(1.0, tmp, out=tmp)
+            np.fill_diagonal(tmp, 0.0)
+            kern += tmp
+            np.subtract(v[a:b, None], v[None, a:], out=tmp)
+            np.abs(tmp, out=tmp)
+            tmp **= p
+            kern *= tmp
+            return kern
+
+        return block
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = (2.0 * _symmetric_form(w, block)) ** (1.0 / p)
+        value = (2.0 * _symmetric_form(w, new_block)) ** (1.0 / p)
     if not np.isfinite(value):
         raise IndexOutOfRange(
             f"the even Gagliardo sum at (s, p) = ({s:g}, {p:g}) leaves the "

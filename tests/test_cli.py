@@ -222,10 +222,35 @@ class TestMisuse:
         assert out == "" and err.startswith("error: ") and rule in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("p", ["250", "1e300"])
+    def test_threaded_overflow_exits_two_without_warnings(self, p):
+        # the 4096-node sum runs on every core; at p = 1e300 |d|^p
+        # overflows inside the worker threads, which must not warn either
+        r = run_cli("seminorm", "--map", "power:d=3", "--s", "0.5", "--p", p)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == (
+            f"error: the Gagliardo sum at (s, p) = (0.5, {float(p):g}) "
+            f"leaves the floating-point range: use a smaller p\n")
+
     def test_unknown_name_message_has_no_quotes(self, capsys):
         assert cli.main(["degree", "--map", "nosuch:d=1"]) == 2
         assert capsys.readouterr().err.startswith(
             "error: unknown map name 'nosuch'; known: power,")
+
+
+class TestAttainmentPair:
+    @pytest.mark.parametrize("d1", [4, 10, 50])
+    def test_prints_the_closed_form(self, d1):
+        # a node on a cusp of the phase, where phi' is infinite, once read
+        # as an aliasing step, and s/pi one ulp past 1 warned in arcsin
+        r = run_cli("pair", "--pair", f"attainment:d1={d1},p=1.5",
+                    "--s", "1", "--p", "1.5")
+        assert r.returncode == 0 and r.stderr == ""
+        rows = dict(line.split(",")[0::3]
+                    for line in r.stdout.splitlines()[1:])
+        p = 1.5
+        exact = 2 ** (1 / p + 1) * PI ** (1 / p - 1) * 2 * d1
+        assert abs(float(rows["w1p_quadrature"]) - exact) <= 1e-10 * exact
 
 
 class TestRejectedSizes:

@@ -70,6 +70,13 @@ class TestFromPhase:
         assert grid.degree_winding(pair.f) == 2
 
 
+    def test_kinks_denser_than_the_nodes_still_alias(self):
+        # every node lies within half a spacing of a kink, and the slope
+        # 40 steps 3.93 rad per node
+        with pytest.raises(GridTooCoarse, match="need m >= 128$"):
+            gallery.oscillator(1, 40, 64)
+
+
 class TestLiftAndWinding:
     @pytest.mark.parametrize("d", [-3, -1, 0, 1, 2, 5])
     def test_power_map_winding(self, d):

@@ -3,6 +3,7 @@ Gagliardo double sums, and the metric axioms they must satisfy."""
 
 import math
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -284,8 +285,7 @@ def _gagliardo_nonuniform(values, thetas, s, p):
     """Gagliardo double sum on arbitrary sorted nodes in [0, 2*pi).
 
     Trapezoid weights in both variables; the kernel matrix is summed over
-    its upper block triangle by seminorms._symmetric_form, one row block at
-    a time.
+    its upper block triangle by seminorms._symmetric_form, in row blocks.
     """
     v = np.asarray(values, dtype=float)
     t = np.asarray(thetas, dtype=float)
@@ -300,7 +300,7 @@ def _gagliardo_nonuniform(values, thetas, s, p):
         np.fill_diagonal(kern, 0.0)
         return kern
 
-    return seminorms._symmetric_form(w, block) ** (1.0 / p)
+    return seminorms._symmetric_form(w, lambda: block) ** (1.0 / p)
 
 
 def _loop_gagliardo(v, s, p):
@@ -334,9 +334,20 @@ def _offset_loop_gagliardo(h, s, p):
     return total ** (1.0 / p)
 
 
+def _serial_form(w, block):
+    """seminorms._symmetric_form on one core: row blocks in order, each
+    block's term added as it is formed."""
+    total = 0.0
+    for a in range(0, w.size, seminorms._ROWS):
+        b = min(a + seminorms._ROWS, w.size)
+        u = w[a:b] @ block(a, b)
+        total += u[:b - a] @ w[a:b] + 2.0 * (u[b - a:] @ w[b:])
+    return float(total)
+
+
 def _fresh_block_even(values, radii, s, p):
-    """gagliardo_even with fresh arrays for every block: the form whose
-    bits the reused planes must keep."""
+    """gagliardo_even with fresh arrays for every block, summed on one
+    core: the form whose bits the reused planes and the split must keep."""
     v = np.asarray(values, dtype=float)
     r = np.asarray(radii, dtype=float)
     gaps = np.diff(np.concatenate(([0.0], r, [PI])))
@@ -353,7 +364,7 @@ def _fresh_block_even(values, radii, s, p):
         kern *= np.abs(v[a:b, None] - v[None, a:]) ** p
         return kern
 
-    return (2.0 * seminorms._symmetric_form(w, block)) ** (1.0 / p)
+    return (2.0 * _serial_form(w, block)) ** (1.0 / p)
 
 
 def _dense_nonuniform(values, thetas, s, p):
@@ -477,6 +488,76 @@ class TestGagliardoAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+class TestSplitAcrossCores:
+    WORKERS = (1, 2, 3, 5)
+
+    # p changes from call to call, so that a block a share left unwritten
+    # cannot keep the right value in memory freed by the call before
+
+    @pytest.mark.parametrize("m", [17, 1000, 8191])
+    def test_offset_sums_keep_the_bits(self, monkeypatch, m):
+        # 1, 63 and 512 blocks of offsets: none divides among 3 or 5 shares
+        rng = np.random.default_rng(m)
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        want = {p: _offset_loop_gagliardo(v, 0.5, p) for p in (1.0, 1.5, 3.0)}
+        for w in self.WORKERS:
+            monkeypatch.setattr(seminorms, "_workers", lambda: w)
+            for p in want:
+                assert seminorms.gagliardo_seminorm(v, 0.5, p) == want[p]
+
+    @pytest.mark.parametrize("case", ["capacity-1e-2", "capacity-1e-16",
+                                      "random-1000"])
+    def test_even_rows_keep_the_bits(self, monkeypatch, case):
+        # 24 and 16 row blocks; the capacity profiles are flat far from 0,
+        # so there only the first blocks add more than 0
+        kind, arg = case.split("-", 1)
+        if kind == "capacity":
+            h, rr = _capacity_nodes(float(arg))
+        else:
+            rng = np.random.default_rng(int(arg))
+            rr = np.sort(rng.uniform(1e-3, PI, int(arg)))
+            h = np.cos(rr) + 0.1 * rng.standard_normal(rr.size)
+        want = {sp: _fresh_block_even(h, rr, *sp)
+                for sp in ((0.5, 2.0), (0.3, 1.5))}
+        for w in self.WORKERS:
+            monkeypatch.setattr(seminorms, "_workers", lambda: w)
+            for sp in want:
+                assert seminorms.gagliardo_even(h, rr, *sp) == want[sp]
+
+    def test_threads_are_joined(self, monkeypatch):
+        monkeypatch.setattr(seminorms, "_workers", lambda: 3)
+        before = threading.active_count()
+        seminorms.gagliardo_seminorm(grid.power_map(3, 1024), 0.5, 1.5)
+        seminorms.gagliardo_even(*_capacity_nodes(1e-2), 0.5, 2.0)
+        assert threading.active_count() == before
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(seminorms, "_workers", lambda: 3)
+        done, before = [], threading.active_count()
+
+        def share(blocks):
+            if blocks.start == 2:  # a thread's share, not the caller's
+                raise ZeroDivisionError("share 2")
+            done.extend(blocks)
+
+        with pytest.raises(ZeroDivisionError, match="share 2"):
+            seminorms._split(7, share)
+        assert sorted(done) == [0, 1, 3, 4, 6]
+        assert threading.active_count() == before
+
+    def test_workers_see_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(seminorms, "_workers", lambda: 2)
+        seen = {}
+
+        def share(blocks):
+            seen[blocks.start] = np.geterr()["over"]
+
+        with np.errstate(over="ignore"):
+            seminorms._split(2, share)
+        assert seen == {0: "ignore", 1: "ignore"}
+
 
 class TestSupAndDispatch:
     def test_sup_distance_antipodal(self):
