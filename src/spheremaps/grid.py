@@ -109,12 +109,11 @@ def _node_step(phase, m):
     t = nodes(m)
     bp = phase.breakpoints
     if bp.size:
-        ends = np.concatenate((bp - TWO_PI, bp, bp + TWO_PI))
-        i = np.searchsorted(ends, t)
-        near = np.where(t - ends[i - 1] < ends[i] - t, ends[i - 1], ends[i])
-        half = PI / m
-        t = np.where(np.abs(t - near) < half,
-                     near + np.where(t < near, -half, half), t)
+        j = np.rint(bp * (m / TWO_PI))  # the node nearest each breakpoint
+        gap = j * (TWO_PI / m) - bp
+        close = np.abs(gap) < PI / m
+        t[j[close].astype(int) % m] = np.mod(
+            bp[close] + np.where(gap[close] < 0, -PI / m, PI / m), TWO_PI)
     d = np.abs(phase.deriv(t))
     d = d[np.isfinite(d)]
     return (np.max(d) if d.size else 0.0) * TWO_PI / m

@@ -3,6 +3,7 @@ Gagliardo double sums, and the metric axioms they must satisfy."""
 
 import math
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -492,6 +493,16 @@ class TestGagliardoAgainstReference:
 
 class TestSplitAcrossCores:
     WORKERS = (1, 2, 3, 5)
+
+    @pytest.fixture(autouse=True)
+    def _fast_switches(self):
+        # switch threads often, so that the shares interleave finely
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(old)
 
     # p changes from call to call, so that a block a share left unwritten
     # cannot keep the right value in memory freed by the call before
