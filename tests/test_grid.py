@@ -69,7 +69,6 @@ class TestFromPhase:
         assert not np.all(np.isfinite(pair.f.phase.deriv(pair.f.theta)))
         assert grid.degree_winding(pair.f) == 2
 
-
     def test_kinks_denser_than_the_nodes_still_alias(self):
         # every node lies within half a spacing of a kink, and the slope
         # 40 steps 3.93 rad per node
