@@ -305,7 +305,7 @@ def gagliardo_even(values, radii, s, p):
     q = 1.0 + s * p
 
     def new_block():
-        # one kernel plane and one scratch plane, reused by every block
+        # one kernel plane and one scratch plane, reused by the share's blocks
         flat = np.empty((2, min(_ROWS, r.size) * r.size))
 
         def block(a, b):
