@@ -5,6 +5,12 @@ of the distance (limited-memory BFGS: Liu & Nocedal, Math. Prog. 45, 1989).
 Seeds come from the gallery (projections of the explicit near-minimizers),
 so reported values start at an upper-bound witness and can only improve;
 random restarts probe for anything better.
+
+A search's descents run concurrently, dealt to the process's cores by
+seminorms._split; each lands in its own slot, so the report keeps its bits
+on any number of cores.  numpy's array loops release the interpreter lock,
+but scipy's L-BFGS-B loop and the small numpy calls of each objective call
+hold it, so two cores run a search about 1.2 times as fast, not twice.
 """
 
 import functools
@@ -37,6 +43,19 @@ def _nodes(m):
     return t
 
 
+@functools.lru_cache(maxsize=8)
+def _modes(k):
+    """(ks, n, 1 - n) of a k-mode ansatz: ks = 1..k and n = (0, ks, -ks),
+    the modes that PhaseAnsatz.sample packs, computed once per k and shared
+    read-only."""
+    ks = np.arange(1, k + 1)
+    n = np.concatenate(([0], ks, -ks))
+    out = ks, n, 1 - n
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class PhaseAnsatz:
     """psi(theta) = winding*theta + c0 + sum a_k cos + b_k sin.
@@ -56,20 +75,21 @@ class PhaseAnsatz:
         """Fold the rotation parameter alpha into the mode coefficients."""
         c0, alpha = x[0], x[1]
         a, b = x[2:2 + self.k], x[2 + self.k:]
-        ks = np.arange(1, self.k + 1)
-        ca, sa = np.cos(ks * alpha), np.sin(ks * alpha)
+        ks = _modes(self.k)[0]
+        ka = ks * alpha
+        ca, sa = np.cos(ka), np.sin(ka)
         return c0 - self.winding * alpha, a * ca - b * sa, a * sa + b * ca
 
     def phase(self, t, x):
         """The phase at arbitrary points t (use sample on the uniform grid)."""
         c0, a, b = self._rotated(x)
-        kt = np.outer(t, np.arange(1, self.k + 1))
+        kt = np.outer(t, _modes(self.k)[0])
         return self.winding * t + c0 + np.cos(kt) @ a + np.sin(kt) @ b
 
     def deriv(self, t, x):
         """The phase derivative at arbitrary points t."""
         _, a, b = self._rotated(x)
-        ks = np.arange(1, self.k + 1)
+        ks = _modes(self.k)[0]
         kt = np.outer(t, ks)
         return self.winding - np.sin(kt) @ (ks * a) + np.cos(kt) @ (ks * b)
 
@@ -81,11 +101,10 @@ class PhaseAnsatz:
                 f"{self.k} modes need a grid of more than {2 * self.k} "
                 f"nodes, got {m}")
         c0, a, b = self._rotated(x)
-        ks = np.arange(1, self.k + 1)
+        _, n, gain = _modes(self.k)
         c = 0.5 * (a - 1j * b)
-        return grid.phase_from_modes(np.concatenate(([0], ks, -ks)),
-                                     np.concatenate(([c0], c, np.conj(c))),
-                                     self.winding, _nodes(m))
+        return grid.phase_from_modes(n, np.concatenate(([c0], c, np.conj(c))),
+                                     self.winding, _nodes(m), gain)
 
     def pullback(self, x, u, v=None):
         """The gradient in x of sum_j (u_j phase_j + v_j deriv_j), with
@@ -97,7 +116,8 @@ class PhaseAnsatz:
         i k V_k with U, V the spectra of u and v; the rotation by k alpha
         carries it to a_k - i b_k and to alpha.
         """
-        k, ks = self.k, np.arange(1, self.k + 1)
+        k = self.k
+        ks, _, gain = _modes(k)  # gain = (1, 1 - ks, 1 + ks)
         if v is None:
             spec = np.fft.rfft(u)
             gam = spec[1:k + 1]
@@ -105,8 +125,8 @@ class PhaseAnsatz:
             z = np.empty(u.size, dtype=complex)
             z.real, z.imag = u, v
             spec = np.fft.fft(z)
-            gam = 0.5 * ((1 - ks) * spec[1:k + 1]
-                         + (1 + ks) * np.conj(spec[:-k - 1:-1]))
+            gam = 0.5 * (gain[1:k + 1] * spec[1:k + 1]
+                         + gain[k + 1:] * np.conj(spec[:-k - 1:-1]))
         rot = gam * np.exp(1j * ks * x[1])
         grad = np.empty(self.dim)
         grad[0] = spec[0].real
@@ -121,7 +141,9 @@ class PhaseAnsatz:
 
 @dataclass
 class OptimizeReport:
-    """Best result of a search; nfev, nit and wall_s cover all its descents.
+    """Best result of a search; nfev and nit are summed over all its
+    descents, and wall_s is the wall time of all of them, which run
+    concurrently.
 
     gap is absolute (value - target); gap_rel is relative (gap / target).
     """
@@ -137,7 +159,7 @@ class OptimizeReport:
     # the winning descent hit its iteration or evaluation cap
     budget_exhausted: bool = False
     stop_reason: str = ""  # the winning descent's message from scipy
-    wall_s: float = 0.0  # wall time of all descents
+    wall_s: float = 0.0  # wall time of the concurrent descents
 
     @property
     def gap_rel(self):
@@ -268,7 +290,7 @@ class _Objective:
         cos, sin = np.cos(delta), np.sin(delta)
         q = seminorms.speed_gap_sq(fder, gder, cos)
         qp = q ** (0.5 * p)
-        value = (np.mean(qp) * TWO_PI) ** (1.0 / p)
+        value = (qp.sum() / self.m * TWO_PI) ** (1.0 / p)
         w = qp / np.maximum(q, _Q_FLOOR)
         w *= 2.0 * PI * value ** (1.0 - p) / self.m if value > 0 else 0.0
         u = w * (fder * gder) * sin
@@ -292,18 +314,16 @@ class _Objective:
                 (scale * (z.real * gs - z.imag * gc), None))
 
 
-def _descend(objective, x0, budget):
-    """One L-BFGS-B descent driven by the objective's exact gradient, capped
-    at budget iterations and 4 budget evaluations; the trace holds the value
-    at each iterate, read from scipy's intermediate result."""
+def _descend(minimize, objective, x0, budget):
+    """One L-BFGS-B descent by minimize (scipy's) driven by the objective's
+    exact gradient, capped at budget iterations and 4 budget evaluations;
+    the trace holds the value at each iterate, read from scipy's
+    intermediate result."""
     trace = []
 
     def cb(intermediate_result):
         trace.append(float(intermediate_result.fun))
 
-    # looked up on the module at call time, so a replacement set there (a
-    # test double, a tracer) sees every descent
-    minimize = sys.modules[__name__].minimize
     res = minimize(objective, x0, jac=True, method="L-BFGS-B", callback=cb,
                    options={"maxiter": budget, "maxfun": 4 * budget})
     return res, trace
@@ -365,18 +385,31 @@ def _check_search(f, k, budget, m_obj):
 def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
     """Descend from every seed (and from perturbed seeds up to restarts
     runs); the target is the W^{1,p} class distance of (d1, d2), or 0 for
-    H^{1/2}."""
+    H^{1/2}.
+
+    The runs are dealt to the cores by seminorms._split.  Each run's start
+    depends on its index alone and lands in its own slot, so the report is
+    the same on any number of cores.
+    """
     start = time.perf_counter()
-    runs = []
     n_runs = max(restarts, len(x_seeds))
-    # q^{p/2} overflows at a large p; a value that is not finite is rejected
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(n_runs):
+    runs = [None] * n_runs
+    # looked up on the module once, before any thread starts: a replacement
+    # set there (a test double, a tracer) sees every descent, and the lazy
+    # import of scipy.optimize runs on this thread alone
+    minimize = sys.modules[__name__].minimize
+
+    def share(rs):
+        for r in rs:
             rng = np.random.Generator(np.random.Philox(key=seed, counter=r))
             x0 = np.array(x_seeds[r % len(x_seeds)], dtype=float)
             if r >= len(x_seeds):
                 x0 = x0 + 0.05 * rng.standard_normal(x0.size)
-            runs.append(_descend(obj, x0, budget))
+            runs[r] = _descend(minimize, obj, x0, budget)
+
+    # q^{p/2} overflows at a large p; a value that is not finite is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        seminorms._split(n_runs, share)
     # lowest value wins, the earliest run on ties; NaN never beats a number
     best, trace = min(runs, key=lambda run: (np.isnan(run[0].fun), run[0].fun))
     value = float(best.fun)

@@ -140,16 +140,27 @@ def _workers():
         return os.cpu_count() or 1
 
 
-def _split(blocks, share):
+# the least work worth a thread, in array entries per share: a thread start
+# costs about 0.15 ms, and 2^17 entries of the O(M^2) sums about 0.8 ms
+_MIN_SHARE = 1 << 17
+
+
+def _split(blocks, share, entries=None):
     """Run share(range(i, blocks, w)) for i = 0..w-1: the blocks dealt
-    round-robin to w = min(cores, blocks) shares, at least one.
+    round-robin to w = min(cores, blocks) shares, at least one.  Given
+    entries, the array entries of all the blocks, w is also at most
+    entries // _MIN_SHARE, so a small sum stays on the caller's thread;
+    without, each block is worth a thread.
 
     The caller runs share 0 and threads run the others; every share sees
     the caller's np.errstate (a context variable, which a new thread does
     not inherit). The threads are joined before the first exception of a
     share is raised here.
     """
-    w = max(1, min(_workers(), blocks))
+    w = min(_workers(), blocks)
+    if entries is not None:
+        w = min(w, entries // _MIN_SHARE)
+    w = max(1, w)
     errors = [None] * w
     err = np.geterr()
 
@@ -205,7 +216,7 @@ def _offset_sums(v, p):
             d **= p / 2.0
             d.sum(axis=1, out=sums[k - 1:k - 1 + n])
 
-    _split(-(-half // _OFFSETS), share)
+    _split(-(-half // _OFFSETS), share, half * m)
     sums[m - half - 1:] = sums[half - 1::-1]  # S_{M-k} = S_k
     return sums
 
@@ -275,7 +286,7 @@ def _symmetric_form(w, new_block):
             u = w[a:b] @ block(a, b)
             terms[i] = u[:b - a] @ w[a:b] + 2.0 * (u[b - a:] @ w[b:])
 
-    _split(terms.size, share)
+    _split(terms.size, share, w.size * (w.size + 1) // 2)
     total = 0.0
     for term in terms:
         total += term

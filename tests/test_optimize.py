@@ -2,6 +2,8 @@
 closed-form targets, and small end-to-end searches."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -83,6 +85,29 @@ class TestAnsatz:
         ans = optimize.PhaseAnsatz(-2, 4)
         f = ans.to_map(np.zeros(ans.dim), m=512)
         assert grid.degree_winding(f) == -2
+
+    @pytest.mark.parametrize("winding,k,m", [(-2, 4, 64), (3, 32, 4096)])
+    def test_sample_packs_the_cached_modes_bit_for_bit(self, winding, k, m):
+        ans = optimize.PhaseAnsatz(winding, k)
+        x = 0.3 * np.random.default_rng(k).standard_normal(ans.dim)
+        # the rotation and packing with the mode arrays built afresh
+        ks = np.arange(1, k + 1)
+        alpha, a, b = x[1], x[2:2 + k], x[2 + k:]
+        ca, sa = np.cos(ks * alpha), np.sin(ks * alpha)
+        c = 0.5 * ((a * ca - b * sa) - 1j * (a * sa + b * ca))
+        want = grid.phase_from_modes(
+            np.concatenate(([0], ks, -ks)),
+            np.concatenate(([x[0] - winding * alpha], c, np.conj(c))),
+            winding, grid.nodes(m))
+        for got, ref in zip(ans.sample(x, m), want):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_cached_modes_are_read_only(self):
+        ans = optimize.PhaseAnsatz(1, 6)
+        ans.sample(np.zeros(ans.dim), 64)
+        for arr in optimize._modes(6):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
 
 
 class TestSeedsAndSearch:
@@ -296,6 +321,11 @@ class TestStopReason:
 
 
 class TestReportCounters:
+    @pytest.fixture(autouse=True)
+    def _two_cores(self, monkeypatch):
+        # the descents run concurrently, and the counters must add them all
+        monkeypatch.setattr(seminorms, "_workers", lambda: 2)
+
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = []
@@ -331,6 +361,67 @@ class TestReportCounters:
             f, 1, SobolevIndex(0.5, 2.0), k=4, budget=40, restarts=0,
             m_obj=256)
         assert np.all(np.diff(rep.trace) <= 0.0)
+
+
+def _report_bits(rep):
+    return (np.float64(rep.value).tobytes(), rep.params.tobytes(),
+            np.asarray(rep.trace).tobytes(), rep.nfev, rep.nit,
+            rep.stop_reason, rep.budget_exhausted, rep.restarts_used)
+
+
+class TestSplitSearch:
+    @pytest.fixture(autouse=True)
+    def _fast_switches(self):
+        # switch threads often, so that the descents interleave finely
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(old)
+
+    # 6 runs, the seeds and then perturbed seeds: each of 2 or 3 shares
+    # runs some of both
+    @pytest.mark.parametrize("case", ["w11", "w1p-1.5", "h-half", "one-sided"])
+    def test_reports_keep_the_bits_on_any_number_of_cores(self, monkeypatch,
+                                                          case):
+        kw = dict(k=4, budget=15, restarts=6, seed=5, m_obj=256)
+        f = gallery.random_map(1, np.random.default_rng(3))
+        if case == "one-sided":
+            def search():
+                return optimize.estimate_point_to_class(
+                    gallery.oscillator(1, 6), 0, SobolevIndex(1.0, 1.0), **kw)
+        else:
+            index = {"w11": SobolevIndex(1.0, 1.0),
+                     "w1p-1.5": SobolevIndex(1.0, 1.5),
+                     "h-half": SobolevIndex(0.5, 2.0)}[case]
+
+            def search():
+                return optimize.estimate_inf_distance(f, 0, index, **kw)
+
+        reports = []
+        for w in (1, 2, 3):
+            monkeypatch.setattr(seminorms, "_workers", lambda: w)
+            reports.append(_report_bits(search()))
+        assert reports[0][-1] == 6
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_a_descent_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(seminorms, "_workers", lambda: 3)
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise ZeroDivisionError("a thread's descent")
+            return scipy_minimize(*args, **kwargs)
+
+        scipy_minimize = optimize.minimize
+        monkeypatch.setattr(optimize, "minimize", failing)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="a thread's descent"):
+            optimize.estimate_inf_distance(
+                gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0),
+                k=4, budget=10, restarts=6, m_obj=256)
+        assert threading.active_count() == before
 
 
 class TestSearchInputs:

@@ -495,7 +495,9 @@ class TestSplitAcrossCores:
     WORKERS = (1, 2, 3, 5)
 
     @pytest.fixture(autouse=True)
-    def _fast_switches(self):
+    def _fast_switches(self, monkeypatch):
+        # any sum is worth a thread, so that every case runs all its shares
+        monkeypatch.setattr(seminorms, "_MIN_SHARE", 1)
         # switch threads often, so that the shares interleave finely
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -568,6 +570,44 @@ class TestSplitAcrossCores:
         with np.errstate(over="ignore"):
             seminorms._split(2, share)
         assert seen == {0: "ignore", 1: "ignore"}
+
+
+class TestSmallSumsStayOnTheCaller:
+    @pytest.fixture
+    def shares(self, monkeypatch):
+        """The share count each share of a _split call sees, on two cores."""
+        monkeypatch.setattr(seminorms, "_workers", lambda: 2)
+        seen, split = [], seminorms._split
+
+        def recording(blocks, share, entries=None):
+            def counted(rs):
+                seen.append(rs.step)
+                share(rs)
+
+            split(blocks, counted, entries)
+
+        monkeypatch.setattr(seminorms, "_split", recording)
+        return seen
+
+    @pytest.mark.parametrize("m,want", [(64, [1]), (256, [1]),
+                                        (1024, [2, 2]), (4096, [2, 2])])
+    def test_offset_sums(self, shares, m, want):
+        # the lab and the CLI sum 1024 nodes and more
+        seminorms.gagliardo_seminorm(grid.power_map(3, m), 0.5, 1.5)
+        assert shares == want
+
+    def test_even_sums(self, shares):
+        rr = np.sort(np.random.default_rng(200).uniform(1e-3, PI, 200))
+        seminorms.gagliardo_even(np.cos(rr), rr, 0.5, 2.0)
+        assert shares == [1]
+        shares.clear()
+        # capacity-decay's 1500 nodes
+        seminorms.gagliardo_even(*_capacity_nodes(1e-2), 0.5, 2.0)
+        assert shares == [2, 2]
+
+    def test_blocks_without_entries_are_each_worth_a_thread(self, shares):
+        seminorms._split(3, lambda rs: None)
+        assert shares == [2, 2]
 
 
 class TestSupAndDispatch:
