@@ -2,7 +2,6 @@
 closed-form targets, and small end-to-end searches."""
 
 import math
-import sys
 import threading
 import warnings
 
@@ -369,17 +368,8 @@ def _report_bits(rep):
             rep.stop_reason, rep.budget_exhausted, rep.restarts_used)
 
 
+@pytest.mark.usefixtures("fast_switches")
 class TestSplitSearch:
-    @pytest.fixture(autouse=True)
-    def _fast_switches(self):
-        # switch threads often, so that the descents interleave finely
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            yield
-        finally:
-            sys.setswitchinterval(old)
-
     # 6 runs, the seeds and then perturbed seeds: each of 2 or 3 shares
     # runs some of both
     @pytest.mark.parametrize("case", ["w11", "w1p-1.5", "h-half", "one-sided"])
@@ -408,13 +398,13 @@ class TestSplitSearch:
 
     def test_a_descent_exception_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(seminorms, "_workers", lambda: 3)
+        scipy_minimize = optimize.minimize
 
         def failing(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
                 raise ZeroDivisionError("a thread's descent")
             return scipy_minimize(*args, **kwargs)
 
-        scipy_minimize = optimize.minimize
         monkeypatch.setattr(optimize, "minimize", failing)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="a thread's descent"):

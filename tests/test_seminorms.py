@@ -3,7 +3,6 @@ Gagliardo double sums, and the metric axioms they must satisfy."""
 
 import math
 import re
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -495,16 +494,9 @@ class TestSplitAcrossCores:
     WORKERS = (1, 2, 3, 5)
 
     @pytest.fixture(autouse=True)
-    def _fast_switches(self, monkeypatch):
+    def _every_share(self, monkeypatch, fast_switches):
         # any sum is worth a thread, so that every case runs all its shares
         monkeypatch.setattr(seminorms, "_MIN_SHARE", 1)
-        # switch threads often, so that the shares interleave finely
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            yield
-        finally:
-            sys.setswitchinterval(old)
 
     # p changes from call to call, so that a block a share left unwritten
     # cannot keep the right value in memory freed by the call before
