@@ -304,14 +304,13 @@ def require_smooth(values):
             "decay); supply analytic derivatives")
 
 
-def phase_from_modes(n, c, winding, t, gain=None):
+def phase_from_modes(n, c, winding, t):
     """(phase, phase') on the uniform nodes t of the real phase winding*theta
     + sum_n c_n e^{i n theta} (c_{-n} = conj c_n) from one inverse FFT: the
     derivative's spectrum i n c_n, packed as the imaginary part, puts
-    c_n + i (i n c_n) = c_n (1 - n) at mode n.  gain is 1 - n, when the
-    caller keeps it."""
+    c_n + i (i n c_n) = c_n (1 - n) at mode n."""
     spec = np.zeros(t.size, dtype=complex)
-    spec[n] = c * (1 - n if gain is None else gain)
+    spec[n] = c * (1 - n)
     z = np.fft.ifft(spec, norm="forward")
     return winding * t + z.real, winding + z.imag
 

@@ -15,6 +15,7 @@ hold it, so two cores run a search about 1.2 times as fast, not twice.
 
 import functools
 import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -45,9 +46,9 @@ def _nodes(m):
 
 @functools.lru_cache(maxsize=8)
 def _modes(k):
-    """(ks, n, 1 - n) of a k-mode ansatz: ks = 1..k and n = (0, ks, -ks),
-    the modes that PhaseAnsatz.sample packs, computed once per k and shared
-    read-only."""
+    """(ks, n, 1 - n) of a k-mode ansatz: ks = 1..k, n = (0, ks, -ks) the
+    modes that PhaseAnsatz.sample packs, and 1 - n their weights in
+    PhaseAnsatz.pullback; computed once per k and shared read-only."""
     ks = np.arange(1, k + 1)
     n = np.concatenate(([0], ks, -ks))
     out = ks, n, 1 - n
@@ -101,10 +102,10 @@ class PhaseAnsatz:
                 f"{self.k} modes need a grid of more than {2 * self.k} "
                 f"nodes, got {m}")
         c0, a, b = self._rotated(x)
-        _, n, gain = _modes(self.k)
         c = 0.5 * (a - 1j * b)
-        return grid.phase_from_modes(n, np.concatenate(([c0], c, np.conj(c))),
-                                     self.winding, _nodes(m), gain)
+        return grid.phase_from_modes(_modes(self.k)[1],
+                                     np.concatenate(([c0], c, np.conj(c))),
+                                     self.winding, _nodes(m))
 
     def pullback(self, x, u, v=None):
         """The gradient in x of sum_j (u_j phase_j + v_j deriv_j), with
@@ -389,7 +390,9 @@ def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
 
     The runs are dealt to the cores by seminorms._split.  Each run's start
     depends on its index alone and lands in its own slot, so the report is
-    the same on any number of cores.
+    the same on any number of cores.  Once a share raises (an error, or
+    KeyboardInterrupt on the caller's thread) or the caller leaves, the
+    other shares start no further run, so a search stops within one descent.
     """
     start = time.perf_counter()
     n_runs = max(restarts, len(x_seeds))
@@ -398,18 +401,30 @@ def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
     # set there (a test double, a tracer) sees every descent, and the lazy
     # import of scipy.optimize runs on this thread alone
     minimize = sys.modules[__name__].minimize
+    stop = threading.Event()
 
     def share(rs):
-        for r in rs:
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=r))
-            x0 = np.array(x_seeds[r % len(x_seeds)], dtype=float)
-            if r >= len(x_seeds):
-                x0 = x0 + 0.05 * rng.standard_normal(x0.size)
-            runs[r] = _descend(minimize, obj, x0, budget)
+        try:
+            for r in rs:
+                if stop.is_set():
+                    return
+                rng = np.random.Generator(np.random.Philox(key=seed,
+                                                           counter=r))
+                x0 = np.array(x_seeds[r % len(x_seeds)], dtype=float)
+                if r >= len(x_seeds):
+                    x0 = x0 + 0.05 * rng.standard_normal(x0.size)
+                runs[r] = _descend(minimize, obj, x0, budget)
+        except BaseException:
+            stop.set()
+            raise
 
     # q^{p/2} overflows at a large p; a value that is not finite is rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        seminorms._split(n_runs, share)
+        try:
+            seminorms._split(n_runs, share)
+        finally:
+            # also when KeyboardInterrupt cuts the caller's wait for a share
+            stop.set()
     # lowest value wins, the earliest run on ties; NaN never beats a number
     best, trace = min(runs, key=lambda run: (np.isnan(run[0].fun), run[0].fun))
     value = float(best.fun)

@@ -3,6 +3,7 @@ closed-form targets, and small end-to-end searches."""
 
 import math
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -412,6 +413,32 @@ class TestSplitSearch:
                 gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0),
                 k=4, budget=10, restarts=6, m_obj=256)
         assert threading.active_count() == before
+
+    def test_a_failing_share_stops_the_others_within_one_descent(
+            self, monkeypatch):
+        # 2 shares of 6 runs: the caller's would run 0, 2 and 4
+        monkeypatch.setattr(seminorms, "_workers", lambda: 2)
+        scipy_minimize = optimize.minimize
+        failed, caller_runs = [], []
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                failed.append(threading.current_thread())
+                raise ZeroDivisionError("a thread's descent")
+            # a descent of the caller's ends after the failing share has
+            caller_runs.append(1)
+            while not failed:
+                time.sleep(0.001)
+            failed[0].join()
+            return scipy_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", failing)
+        with pytest.raises(ZeroDivisionError, match="a thread's descent"):
+            optimize.estimate_inf_distance(
+                gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0),
+                k=4, budget=10, restarts=6, m_obj=256)
+        # none, if the failing share ended before the caller's first run
+        assert len(failed) == 1 and len(caller_runs) <= 1
 
 
 class TestSearchInputs:
