@@ -427,9 +427,10 @@ class TestSplitSearch:
                 raise ZeroDivisionError("a thread's descent")
             # a descent of the caller's ends after the failing share has
             caller_runs.append(1)
-            while not failed:
+            deadline = time.monotonic() + 10.0
+            while not failed and time.monotonic() < deadline:
                 time.sleep(0.001)
-            failed[0].join()
+            failed[0].join(timeout=10.0)
             return scipy_minimize(*args, **kwargs)
 
         monkeypatch.setattr(optimize, "minimize", failing)
@@ -438,7 +439,8 @@ class TestSplitSearch:
                 gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0),
                 k=4, budget=10, restarts=6, m_obj=256)
         # none, if the failing share ended before the caller's first run
-        assert len(failed) == 1 and len(caller_runs) <= 1
+        assert len(failed) == 1 and not failed[0].is_alive()
+        assert len(caller_runs) <= 1
 
 
 class TestSearchInputs:
