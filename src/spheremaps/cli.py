@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from . import experiments, gallery, grid, optimize, seminorms, sphere2
+from . import gallery, grid, sphere2
 from .errors import IndexOutOfRange, ParameterError
 from .grid import SobolevIndex
 from .sphere2 import Sphere2Map
@@ -93,6 +93,7 @@ def cmd_degree(args):
 
 
 def _norm_rows(f, g, index, method):
+    from . import seminorms
     rows = []
     for m in seminorms.select_methods(index, method):
         res = seminorms.seminorm(f, index, m, g=g)
@@ -134,6 +135,7 @@ def cmd_pair(args):
 
 
 def cmd_experiment(args):
+    from . import experiments
     if args.name == "all" and args.param:
         raise ParameterError("--param needs one named experiment, not 'all'")
     names = (list(experiments.REGISTRY) if args.name == "all"
@@ -170,6 +172,7 @@ _SWEEPS = {
 
 
 def cmd_sweep(args):
+    from . import experiments
     if args.name not in _SWEEPS:
         raise KeyError(f"unknown sweep '{args.name}'; known: "
                        f"{', '.join(sorted(_SWEEPS))}")
@@ -181,6 +184,7 @@ def cmd_sweep(args):
 
 
 def cmd_optimize(args):
+    from . import optimize
     f = parse_map_spec(args.source)
     index = SobolevIndex(args.s, args.p)
     kwargs = dict(k=args.k, budget=args.budget, restarts=args.restarts,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gallery, grid, optimize, params, seminorms, sphere2
+from . import gallery, grid, params, seminorms, sphere2
 from .errors import ParameterError
 from .grid import PI, TWO_PI, SobolevIndex
 
@@ -41,6 +41,7 @@ def _run_w11_zigzag(*, d1=1, d2=0):
 
 def _run_w1p_formula(*, p=(1.0, 2.0), d2=1, budget=2000, k=32, seed=0):
     """Optimizer reproduces 2^{1/p+1} pi^{1/p-1} |d1-d2| within 3%."""
+    from . import optimize
     rows, ok = [], True
     for pv in p:
         rep = optimize.estimate_inf_distance(
@@ -203,6 +204,7 @@ def _run_s2_vo1(*, d_list=(3, 7), n_phi=256):
 
 def _run_attainment(*, p=(1.0, 1.5, 2.0), d1=1, budget=2000, k=32, seed=0):
     """Attained at p<=1 and 1<p<2; concentrating for p>=2."""
+    from . import optimize
     rows, ok = [], True
     for pv in p:
         probe = optimize.attainment_probe(d1, pv, budget=budget, k=k,
@@ -231,6 +233,7 @@ def _run_attainment(*, p=(1.0, 1.5, 2.0), d1=1, budget=2000, k=32, seed=0):
 
 def _run_oscillator_lb(*, n=(6, 10, 16), budget=2000, k=32, seed=0):
     """Fast-oscillating maps push one-sided distances toward 2 pi."""
+    from . import optimize
     rows, vals = [], []
     for nv in n:
         f = gallery.oscillator(1, nv)

@@ -226,11 +226,11 @@ def blaschke_pow(d, delta, m=None):
         raise ValueError("need 0 < delta < 1")
     if m is None:
         m = grid.pow2_size(64.0 * abs(d) / delta)
-    z = np.exp(1j * grid.nodes(m))
+    z = grid.expi(grid.nodes(m))
     a = 1.0 - delta
     w = (z - a) / (a * z - 1.0)
     ph = grid.lift(grid.from_samples(w))
-    return grid.from_samples(np.exp(-1j * d * ph.values))
+    return grid.from_samples(grid.expi(-d * ph.values))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def bump_pair(eps, n_dim=1, m=None, n_phi=None):
     if n_dim == 1:
         if m is None:
             m = grid.pow2_size(50.0 / eps, floor=1 << 17)
-        f, g = (grid.from_samples(np.exp(1j * phase))
+        f, g = (grid.from_samples(grid.expi(phase))
                 for phase in _bump_phases_1d(prof, grid.nodes(m)))
         return GalleryPair(f, g, {"eps": eps, "n_dim": 1}, "critical_bump",
                            (0.5, 2.0, "fourier_h_half"))
@@ -439,7 +439,7 @@ def random_map(d, rng, kmax=8, amp=0.5, m=None):
     c = coef[0::2] - 1j * coef[1::2]
 
     def series(t, weights):
-        z = np.exp(1j * np.asarray(t, dtype=float))
+        z = grid.expi(t)
         acc = 0.0
         for w in weights[::-1]:
             acc = (acc + w) * z

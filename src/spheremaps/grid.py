@@ -45,6 +45,16 @@ def nodes(m):
     return TWO_PI * np.arange(m) / m
 
 
+def expi(theta):
+    """e^{i theta} for real theta, written as cos and sin into one complex
+    array: the bits of np.exp(1j * theta) without its complex temporary."""
+    theta = np.asarray(theta, dtype=float)
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    return z
+
+
 def patch_nonfinite(v, x=None):
     """Replace non-finite entries by linear interpolation between their
     finite neighbors over the abscissae x (the index when x is None)."""
@@ -138,7 +148,7 @@ def from_phase(phase, m=None):
             f"pi, so the samples alias the map: " + (
                 f"need m >= {need}" if need <= MAX_M else
                 f"no grid under the cap 2^22 = {MAX_M} resolves it"))
-    return CircleMap(np.exp(1j * phase.value(nodes(m))), phase=phase)
+    return CircleMap(expi(phase.value(nodes(m))), phase=phase)
 
 
 def from_samples(samples):
@@ -194,10 +204,16 @@ def lift(f):
     the principal increment is then ambiguous.
     """
     s = f.samples
-    inc = np.angle(s / np.roll(s, 1))  # inc[j] = principal arg(s_j / s_{j-1})
-    if np.max(np.abs(inc)) >= PI - 1e-6:
+    inc = np.empty_like(s)  # s_j / s_{j-1}, cyclically
+    np.divide(s[1:], s[:-1], out=inc[1:])
+    np.divide(s[:1], s[-1:], out=inc[:1])
+    inc = np.angle(inc)  # inc[j] = principal arg(s_j / s_{j-1})
+    if max(inc.max(), -inc.min()) >= PI - 1e-6:  # max |inc|
         raise GridTooCoarse("adjacent samples are antipodal; refine the grid")
-    values = np.angle(s[0]) + np.concatenate(([0.0], np.cumsum(inc[1:])))
+    values = np.empty(s.size)  # arg s_0 plus the partial sums of inc[1:]
+    values[0] = 0.0
+    np.cumsum(inc[1:], out=values[1:])
+    values += np.angle(s[0])
     total = np.sum(inc[1:]) + inc[0]  # closes the loop
     winding = int(round(total / TWO_PI))
     if abs(total / TWO_PI - winding) > 1e-9:

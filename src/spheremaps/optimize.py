@@ -137,7 +137,7 @@ class PhaseAnsatz:
         return grad
 
     def to_map(self, x, m):
-        return grid.from_samples(np.exp(1j * self.sample(x, m)[0]))
+        return grid.from_samples(grid.expi(self.sample(x, m)[0]))
 
 
 @dataclass
@@ -202,7 +202,7 @@ def _lorentzian_climb(t, centers, eta, total):
     m = t.size
     rate = np.zeros(m)
     for c in centers:
-        x = np.angle(np.exp(1j * (t - c)))
+        x = np.angle(grid.expi(t - c))
         rate += eta / (x ** 2 + eta ** 2)
     out = np.zeros(m)
     out[1:] = np.cumsum(0.5 * (rate[1:] + rate[:-1])) * (TWO_PI / m)

@@ -120,8 +120,10 @@ def h_half_distance(f, g=None):
 # one-off 2^21-point grid must not keep its 16 MB of modes alive
 @functools.lru_cache(maxsize=1)
 def _abs_modes(m):
-    """|grid.fourier_modes(m)|, computed once per size and shared read-only."""
-    n = np.abs(grid.fourier_modes(m))
+    """|grid.fourier_modes(m)| as min(k, m - k), computed once per size and
+    shared read-only."""
+    k = np.arange(m)
+    n = np.minimum(k, m - k)
     n.flags.writeable = False
     return n
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (GridMismatch, GridTooCoarse, Overcrowded, ParameterError,
                      PoleSingularity)
 from . import gallery
-from .grid import PI, TWO_PI
+from .grid import PI, TWO_PI, expi
 
 NORTH = np.array([0.0, 0.0, 1.0])
 DEFAULT_NPHI = 128  # rows of a grid when none is given
@@ -127,7 +127,7 @@ def _polar(profile, winding, R=None, phi=None, n_phi=None, n_lam=None):
     n_lam = 2 * n_phi if n_lam is None else n_lam
     lam = TWO_PI * np.arange(n_lam) / n_lam
     r = phi if R is None else np.minimum(phi, R)
-    v = _radial(profile(r)[:, None], np.exp(1j * winding * lam))
+    v = _radial(profile(r)[:, None], expi(winding * lam))
     if R is not None:
         v[phi >= R] = (0.0, 0.0, np.cos(profile(R)))
     v /= _length(*np.moveaxis(v, -1, 0))[..., None]
@@ -312,12 +312,12 @@ def _with_bumps(sm, k, ring, radius, up_degree):
     # one more row on each side keeps the rounding of r off the band's edge
     lo, hi = np.searchsorted(sm.phi, (ring - radius, ring + radius))
     band = slice(max(lo - 1, 0), hi + 1)
-    points = _radial(sm.phi[band, None], np.exp(1j * sm.lam))
+    points = _radial(sm.phi[band, None], expi(sm.lam))
     values = sm.values.copy()
     on_band = values[band]
     dh = -int(np.sign(up_degree))  # chart formula gives deg = -dh per turn
     for j in range(k):
-        c, e1, e2 = _chart_basis(_radial(ring, np.exp(1j * TWO_PI * j / k)))
+        c, e1, e2 = _chart_basis(_radial(ring, expi(TWO_PI * j / k)))
         r = np.arccos(np.clip(points @ c, -1.0, 1.0))
         mask = r < radius
         if not np.allclose(on_band[mask], NORTH, atol=1e-9):
@@ -325,7 +325,7 @@ def _with_bumps(sm, k, ring, radius, up_degree):
         p = points[mask]
         alpha = np.arctan2(p @ e2, p @ e1)
         prof = PI * (1.0 - gallery.smoothstep(r[mask] / radius))
-        on_band[mask] = _radial(prof, np.exp(1j * dh * alpha))
+        on_band[mask] = _radial(prof, expi(dh * alpha))
     return Sphere2Map(sm.phi, values)
 
 

@@ -478,6 +478,23 @@ class TestColdStart:
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines()[-1] == "False False"
 
+    def test_commands_load_only_the_modules_they_run(self):
+        code = ("import sys\n"
+                "from spheremaps import cli\n"
+                "def loaded():\n"
+                "    return ' '.join(m for m in ('experiments', 'optimize', "
+                "'seminorms') if 'spheremaps.' + m in sys.modules) or '-'\n"
+                "seen = [loaded()]\n"
+                "assert cli.main(['degree', '--map', 'power:d=3']) == 0\n"
+                "seen.append(loaded())\n"
+                "assert cli.main(['experiment', 'w11-zigzag']) == 0\n"
+                "seen.append(loaded())\n"
+                "print('|'.join(seen))\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "-|-|experiments seminorms"
+
     def test_seminorms_of_sampled_maps_never_import_scipy(self, tmp_path):
         path = tmp_path / "map.csv"
         t = grid.nodes(256)

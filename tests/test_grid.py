@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spheremaps import gallery, grid
 from spheremaps.errors import GridMismatch, GridTooCoarse, ParameterError
-from spheremaps.grid import TWO_PI
+from spheremaps.grid import PI, TWO_PI
 
 
 class TestNodesAndModes:
@@ -32,6 +32,29 @@ class TestNodesAndModes:
         n = grid.fourier_modes(16)
         assert n.max() == 8
         assert n.min() == -7
+
+
+class TestExpi:
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_bits_of_complex_exp(self, scale):
+        theta = scale * np.random.default_rng(7).uniform(-1.0, 1.0, 1 << 16)
+        assert (grid.expi(theta).tobytes()
+                == np.exp(1j * theta).tobytes())
+
+    @pytest.mark.parametrize("d", [-3, 1, 2, 7])
+    def test_bits_of_the_negated_power_form(self, d):
+        # blaschke_pow exponentiates -d times a lifted phase
+        theta = grid.lift(gallery.blaschke_pow(1, 0.1, 1 << 12)).values
+        assert (grid.expi(-d * theta).tobytes()
+                == np.exp(-1j * d * theta).tobytes())
+
+    def test_scalar_and_strided_input(self):
+        theta = np.random.default_rng(8).uniform(-50.0, 50.0, 3001)[::3]
+        assert (grid.expi(theta).tobytes()
+                == np.exp(1j * theta).tobytes())
+        for x in theta[:20]:
+            assert (grid.expi(float(x)).tobytes()
+                    == np.complex128(np.exp(1j * x)).tobytes())
 
 
 class TestDefaultSize:
@@ -94,6 +117,39 @@ class TestLiftAndWinding:
     def test_lift_rejects_undersampled_map(self):
         # 3 turns on 16 nodes -> leaps of ~3*2pi/16 are fine; make it extreme
         f = grid.CircleMap(np.exp(1j * 40.0 * grid.nodes(16)), None)
+        with pytest.raises(GridTooCoarse):
+            grid.lift(f)
+
+    @staticmethod
+    def _lift_by_roll(f):
+        """The lift formula that divides by np.roll(samples, 1)."""
+        s = f.samples
+        inc = np.angle(s / np.roll(s, 1))
+        values = np.angle(s[0]) + np.concatenate(([0.0], np.cumsum(inc[1:])))
+        total = np.sum(inc[1:]) + inc[0]
+        return values, int(round(total / TWO_PI))
+
+    @pytest.mark.parametrize("d,seed", [(-2, 1), (0, 2), (1, 3), (3, 4)])
+    def test_bits_of_the_roll_formula_on_smooth_maps(self, d, seed):
+        f = gallery.random_map(d, np.random.default_rng(seed), m=1 << 12)
+        values, winding = self._lift_by_roll(f)
+        ph = grid.lift(f)
+        assert ph.values.tobytes() == values.tobytes()
+        assert ph.winding == winding == d
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_bits_of_the_roll_formula_on_bump_maps(self, eps):
+        pair = gallery.bump_pair(eps)
+        assert pair.f.m == 1 << 17
+        for f in (pair.f, pair.g):
+            values, winding = self._lift_by_roll(f)
+            ph = grid.lift(f)
+            assert ph.values.tobytes() == values.tobytes()
+            assert ph.winding == winding
+
+    def test_antipodal_wrap_is_rejected(self):
+        # every step is pi/15 except the closing one, from -1 back to 1
+        f = grid.CircleMap(np.exp(1j * PI * np.arange(16) / 15), None)
         with pytest.raises(GridTooCoarse):
             grid.lift(f)
 

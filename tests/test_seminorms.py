@@ -182,6 +182,15 @@ class TestFourierHalf:
         assert grid.fourier_modes(m)[0] == 0
 
 
+    @pytest.mark.parametrize("m", [17, 33] + [1 << e for e in range(4, 21)])
+    def test_abs_modes_are_the_abs_of_the_fourier_modes(self, m):
+        n = seminorms._abs_modes(m)
+        ref = np.abs(grid.fourier_modes(m))
+        assert n.dtype == ref.dtype
+        assert n.tobytes() == ref.tobytes()
+        assert not n.flags.writeable
+
+
 class TestGagliardo:
     def test_rejects_s_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
