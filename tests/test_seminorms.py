@@ -181,7 +181,6 @@ class TestFourierHalf:
         n[0] = 99  # a fresh writable array each call; the cache is not it
         assert grid.fourier_modes(m)[0] == 0
 
-
     @pytest.mark.parametrize("m", [17, 33] + [1 << e for e in range(4, 21)])
     def test_abs_modes_are_the_abs_of_the_fourier_modes(self, m):
         n = seminorms._abs_modes(m)
