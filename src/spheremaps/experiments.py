@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gallery, grid, params, seminorms, sphere2
-from .errors import ParameterError
+from .errors import IndexOutOfRange, ParameterError
 from .grid import PI, TWO_PI, SobolevIndex
 
 
@@ -268,6 +268,10 @@ def _run_product_shift_scaling(*, d=(1, 2, 4, 8), s=1.0, p=1.0):
     """Product-shift pair distance linear in the winding gap."""
     if 0 in d:  # the scaled distance divides by the winding gap d
         raise ParameterError("product-shift-scaling needs d != 0")
+    if s != 1.0 and (s, p) != (0.5, 2.0):
+        raise IndexOutOfRange(
+            f"product-shift-scaling measures (s, p) = (1, p) or (1/2, 2), "
+            f"got ({s:g}, {p:g})")
     rows, per = [], []
     for dv in d:
         pair = gallery.product_shift(dv, 0)

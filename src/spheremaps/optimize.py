@@ -7,15 +7,14 @@ so reported values start at an upper-bound witness and can only improve;
 random restarts probe for anything better.
 
 A search's descents run concurrently, dealt to the process's cores by
-seminorms._split; each lands in its own slot, so the report keeps its bits
-on any number of cores.  numpy's array loops release the interpreter lock,
-but scipy's L-BFGS-B loop and the small numpy calls of each objective call
-hold it, so two cores run a search about 1.2 times as fast, not twice.
+seminorms._split, which also stops them all once one raises; each lands in
+its own slot, so the report keeps its bits on any number of cores.  numpy's
+array loops release the interpreter lock, but scipy's L-BFGS-B loop and the
+small numpy calls of each objective call hold it, so two cores run a search
+about 1.2 times as fast, not twice.
 """
 
 import functools
-import sys
-import threading
 import time
 from dataclasses import dataclass
 
@@ -220,8 +219,9 @@ def minimizing_pair_phases(d1, d2, mu=0.05, eta=0.1, m=4096):
     cost O(eta).  mu mollifies the arcsin corners.
     """
     d = d1 - d2
-    if d == 0:
-        raise ValueError("need d1 != d2")
+    if d == 0:  # the seeds of a two-sided W^{1,p} search
+        raise ParameterError(f"a two-sided W^{{1,p}} search needs d1 != d2, "
+                             f"got d1 = d2 = {d1}")
     t = grid.nodes(m)
     diff = 2.0 * gallery.arcsin_profile(t * d)[0]  # winds d
     diff = _smooth_periodic(diff, d, mu)
@@ -315,11 +315,11 @@ class _Objective:
                 (scale * (z.real * gs - z.imag * gc), None))
 
 
-def _descend(minimize, objective, x0, budget):
-    """One L-BFGS-B descent by minimize (scipy's) driven by the objective's
-    exact gradient, capped at budget iterations and 4 budget evaluations;
-    the trace holds the value at each iterate, read from scipy's
-    intermediate result."""
+def _descend(objective, x0, budget):
+    """One L-BFGS-B descent by the module's minimize (see __getattr__)
+    driven by the objective's exact gradient, capped at budget iterations
+    and 4 budget evaluations; the trace holds the value at each iterate,
+    read from scipy's intermediate result."""
     trace = []
 
     def cb(intermediate_result):
@@ -373,11 +373,14 @@ def _one_sided_seeds(d1, d2, k, m=4096):
     return seeds
 
 
-def _check_search(f, k, budget, m_obj):
+def _check_search(f, k, budget, restarts, seed, m_obj):
     seminorms._require_maps("the search", f)
-    for name, value in (("k", k), ("budget", budget)):
-        if value < 1:
-            raise ParameterError(f"{name} must be at least 1, got {value}")
+    for name, value, low in (("k", k, 1), ("budget", budget, 1),
+                             ("restarts", restarts, 0)):
+        if value < low:
+            raise ParameterError(f"{name} must be at least {low}, got {value}")
+    if not 0 <= seed < 2 ** 128:  # a Philox key
+        raise ParameterError(f"seed must be in [0, 2^128), got {seed}")
     if 2 * k >= m_obj:
         raise ParameterError(f"k = {k} modes need an objective grid of more "
                              f"than 2k = {2 * k} nodes, got m_obj = {m_obj}")
@@ -388,43 +391,28 @@ def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
     runs); the target is the W^{1,p} class distance of (d1, d2), or 0 for
     H^{1/2}.
 
-    The runs are dealt to the cores by seminorms._split.  Each run's start
-    depends on its index alone and lands in its own slot, so the report is
-    the same on any number of cores.  Once a share raises (an error, or
-    KeyboardInterrupt on the caller's thread) or the caller leaves, the
-    other shares start no further run, so a search stops within one descent.
+    The runs are dealt to the cores by seminorms._split, which stops the
+    search within one descent once a run raises.  Each run's start depends
+    on its index alone and lands in its own slot, so the report is the same
+    on any number of cores.
     """
     start = time.perf_counter()
     n_runs = max(restarts, len(x_seeds))
     runs = [None] * n_runs
-    # looked up on the module once, before any thread starts: a replacement
-    # set there (a test double, a tracer) sees every descent, and the lazy
-    # import of scipy.optimize runs on this thread alone
-    minimize = sys.modules[__name__].minimize
-    stop = threading.Event()
+    if "minimize" not in globals():  # import scipy's before any thread starts
+        __getattr__("minimize")
 
     def share(rs):
-        try:
-            for r in rs:
-                if stop.is_set():
-                    return
-                rng = np.random.Generator(np.random.Philox(key=seed,
-                                                           counter=r))
-                x0 = np.array(x_seeds[r % len(x_seeds)], dtype=float)
-                if r >= len(x_seeds):
-                    x0 = x0 + 0.05 * rng.standard_normal(x0.size)
-                runs[r] = _descend(minimize, obj, x0, budget)
-        except BaseException:
-            stop.set()
-            raise
+        for r in rs:
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=r))
+            x0 = np.array(x_seeds[r % len(x_seeds)], dtype=float)
+            if r >= len(x_seeds):
+                x0 = x0 + 0.05 * rng.standard_normal(x0.size)
+            runs[r] = _descend(obj, x0, budget)
 
     # q^{p/2} overflows at a large p; a value that is not finite is rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            seminorms._split(n_runs, share)
-        finally:
-            # also when KeyboardInterrupt cuts the caller's wait for a share
-            stop.set()
+        seminorms._split(n_runs, share)
     # lowest value wins, the earliest run on ties; NaN never beats a number
     best, trace = min(runs, key=lambda run: (np.isnan(run[0].fun), run[0].fun))
     value = float(best.fun)
@@ -447,7 +435,7 @@ def estimate_inf_distance(f, d2, index, k=32, budget=2000, restarts=8,
     """Two-sided estimate of the class distance from deg(f)'s class to the
     degree-d2 class.  f supplies the starting class d1 and one projection
     seed; both endpoints move during the search."""
-    _check_search(f, k, budget, m_obj)
+    _check_search(f, k, budget, restarts, seed, m_obj)
     ph = grid.lift(f)
     d1 = ph.winding
     ans_f = PhaseAnsatz(d1, k)
@@ -463,7 +451,7 @@ def estimate_point_to_class(f, d2, index, k=32, budget=2000, restarts=8,
     """One-sided estimate of inf over the degree-d2 class of |f - g|,
     with f held fixed; the class distance is a lower bound for any fixed f
     in its class, and is the reported target."""
-    _check_search(f, k, budget, m_obj)
+    _check_search(f, k, budget, restarts, seed, m_obj)
     obj = _Objective(index, PhaseAnsatz(d2, k), f=f, m_obj=m_obj)
     return _search(obj, obj.d1, d2, _one_sided_seeds(obj.d1, d2, k), budget,
                    restarts, seed)
@@ -497,8 +485,7 @@ def attainment_probe(d1, p, budget=2000, k=32, seed=0):
     if p <= 1.0:
         pair = gallery.zigzag_pair(d1, 0)
         value = seminorms.w1p_distance(pair.f, pair.g, 1.0)
-        return {"p": p, "value": value, "target": 4.0 * abs(d1),
-                "stages": [{"value": value}]}
+        return {"value": value, "target": 4.0 * abs(d1)}
     index = SobolevIndex(1.0, p)
     if p < 2.0:
         d2 = -d1
@@ -510,9 +497,8 @@ def attainment_probe(d1, p, budget=2000, k=32, seed=0):
         ref = gallery.attainment_pair(d1, p)
         close = gauge_aligned_l2(ans_f.to_map(xf, ref.f.m),
                                  ans_g.to_map(xg, ref.f.m), ref.f, ref.g)
-        return {"p": p, "value": rep.value, "target": rep.target,
-                "gap_rel": rep.gap_rel, "l2_to_minimizer": close,
-                "stages": [{"value": rep.value}]}
+        return {"value": rep.value, "target": rep.target,
+                "gap_rel": rep.gap_rel, "l2_to_minimizer": close}
     stages = []
     for mult, kk in ((1, k), (4, 4 * k)):
         rep = estimate_inf_distance(grid.power_map(d1), 0, index, k=kk,
@@ -522,7 +508,6 @@ def attainment_probe(d1, p, budget=2000, k=32, seed=0):
         xf, xg = rep.params[: ans_f.dim], rep.params[ans_f.dim:]
         sharp = max(float(np.max(np.abs(ans.sample(x, 8192)[1])))
                     for ans, x in ((ans_f, xf), (ans_g, xg)))
-        stages.append({"budget": mult * budget, "k": kk, "value": rep.value,
-                       "max_dpsi": sharp, "gap_rel": rep.gap_rel})
-    return {"p": p, "value": stages[-1]["value"],
-            "target": w1p_formula(p, d1, 0), "stages": stages}
+        stages.append({"max_dpsi": sharp, "gap_rel": rep.gap_rel})
+    return {"value": rep.value, "target": w1p_formula(p, d1, 0),
+            "stages": stages}

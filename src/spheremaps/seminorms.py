@@ -148,42 +148,48 @@ _MIN_SHARE = 1 << 17
 
 
 def _split(blocks, share, entries=None):
-    """Run share(range(i, blocks, w)) for i = 0..w-1: the blocks dealt
-    round-robin to w = min(cores, blocks) shares, at least one.  Given
-    entries, the array entries of all the blocks, w is also at most
-    entries // _MIN_SHARE, so a small sum stays on the caller's thread;
-    without, each block is worth a thread.
+    """Run share(its blocks) on w = min(cores, blocks) shares, at least one:
+    share i iterates over blocks i, i + w, ...  Given entries, the array
+    entries of all the blocks, w is also at most entries // _MIN_SHARE, so
+    a small sum stays on the caller's thread; without, each block is worth
+    a thread.
 
     The caller runs share 0 and threads run the others; every share sees
     the caller's np.errstate (a context variable, which a new thread does
-    not inherit). The threads are joined before the first exception of a
-    share is raised here.
+    not inherit). Once a share raises, or KeyboardInterrupt reaches the
+    caller, no share is dealt a further block. The threads are joined
+    before the first exception is raised here.
     """
     w = min(_workers(), blocks)
     if entries is not None:
         w = min(w, entries // _MIN_SHARE)
     w = max(1, w)
-    errors = [None] * w
-    err = np.geterr()
+    errors, stop, err = [], threading.Event(), np.geterr()
+
+    def dealt(i):
+        return (b for b in range(i, blocks, w) if not stop.is_set())
 
     def run(i):
         try:
             with np.errstate(**err):
-                share(range(i, blocks, w))
+                share(dealt(i))
         except BaseException as exc:
-            errors[i] = exc
+            errors.append(exc)
+            stop.set()
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(1, w)]
     for t in threads:
         t.start()
     try:
-        share(range(0, blocks, w))
-    finally:
+        share(dealt(0))
         for t in threads:
             t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    finally:
+        stop.set()  # a no-op unless the caller raised or was interrupted
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 # offsets per block of the p != 2 sum: 4, 8 and 16 run alike at M = 8192

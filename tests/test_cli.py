@@ -183,6 +183,27 @@ RULES = [
      "product-shift-scaling needs d != 0"),
     (("experiment", "s2-vo1", "--param", "d_list=3,7,3"),
      "all distinct, got (3, 7, 3)"),
+    # each printed the H^{1/2} distance and exited 0
+    (("sweep", "product-shift", "--d", "1,2", "--s", "0.3", "--p", "1.5"),
+     "measures (s, p) = (1, p) or (1/2, 2), got (0.3, 1.5)"),
+    (("sweep", "product-shift", "--d", "1,2", "--s", "2", "--p", "7"),
+     "measures (s, p) = (1, p) or (1/2, 2), got (2, 7)"),
+    (("sweep", "product-shift", "--d", "1,2", "--s", "0.5", "--p", "3"),
+     "measures (s, p) = (1, p) or (1/2, 2), got (0.5, 3)"),
+    # numpy's Philox key error, a silent run, and the seed builder's error
+    (("optimize", "--from", "power:d=1", "--to-class", "0", "--s", "1",
+      "--p", "2", "--seed", "-1"), "seed must be in [0, 2^128), got -1"),
+    (("optimize", "--from", "power:d=1", "--to-class", "0", "--s", "1",
+      "--p", "2", "--seed", str(2 ** 128), "--one-sided"),
+     f"seed must be in [0, 2^128), got {2 ** 128}"),
+    (("experiment", "w1p-formula", "--param", "seed=-1"),
+     "seed must be in [0, 2^128), got -1"),
+    (("optimize", "--from", "power:d=1", "--to-class", "0", "--s", "1",
+      "--p", "2", "--restarts", "-3"), "restarts must be at least 0, got -3"),
+    (("optimize", "--from", "power:d=0", "--to-class", "0", "--s", "1",
+      "--p", "1"), "search needs d1 != d2, got d1 = d2 = 0"),
+    (("experiment", "w1p-formula", "--param", "d2=0"),
+     "search needs d1 != d2, got d1 = d2 = 0"),
 ]
 
 

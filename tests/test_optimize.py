@@ -167,6 +167,7 @@ class TestSeedsAndSearch:
     def test_attainment_probe_exact_at_p_one(self):
         probe = optimize.attainment_probe(1, 1.0, budget=200, k=8)
         assert abs(probe["value"] - probe["target"]) < 1e-5 * probe["target"]
+        assert set(probe) == {"value", "target"}
 
 
 def _direct_objective(index, x, ans_g, ans_f=None, f=None, m=1024):

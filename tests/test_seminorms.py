@@ -4,6 +4,7 @@ Gagliardo double sums, and the metric axioms they must satisfy."""
 import math
 import re
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -416,6 +417,15 @@ def _capacity_nodes(eps, nodes=1500):
     return prof.H(rr), rr
 
 
+def _join_first(failed):
+    """Wait until a share has put its thread in failed, then for that
+    thread to end: its exception has then stopped the other shares."""
+    deadline = time.monotonic() + 10.0
+    while not failed and time.monotonic() < deadline:
+        time.sleep(0.001)
+    failed[0].join(timeout=10.0)
+
+
 class TestGagliardoAgainstReference:
     @pytest.mark.parametrize("m", [16, 1024, 4096])
     @pytest.mark.parametrize("kind", ["power", "random", "blaschke"])
@@ -547,25 +557,55 @@ class TestSplitAcrossCores:
         assert threading.active_count() == before
 
     def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        # 3 shares of 7 blocks: (0, 3, 6) on the caller, (1, 4) and (2, 5)
         monkeypatch.setattr(seminorms, "_workers", lambda: 3)
-        done, before = [], threading.active_count()
+        done, failed, before = [], [], threading.active_count()
 
         def share(blocks):
-            if blocks.start == 2:  # a thread's share, not the caller's
-                raise ZeroDivisionError("share 2")
-            done.extend(blocks)
+            for b in blocks:
+                if b == 2:  # a thread's share, not the caller's
+                    failed.append(threading.current_thread())
+                    raise ZeroDivisionError("share 2")
+                _join_first(failed)
+                done.append(b)
 
         with pytest.raises(ZeroDivisionError, match="share 2"):
             seminorms._split(7, share)
-        assert sorted(done) == [0, 1, 3, 4, 6]
+        # no other share is dealt more than one further block
+        assert set(done) <= {0, 1}
         assert threading.active_count() == before
+
+    def test_a_failing_share_stops_the_others_within_one_block(
+            self, monkeypatch):
+        # 2 shares of 16 row blocks: the caller's would sum 0, 2, ..., 14
+        monkeypatch.setattr(seminorms, "_workers", lambda: 2)
+        n = 16 * seminorms._ROWS
+        failed, caller_blocks = [], []
+
+        def new_block():
+            def block(a, b):
+                if threading.current_thread() is not threading.main_thread():
+                    failed.append(threading.current_thread())
+                    raise ZeroDivisionError("a thread's block")
+                # a block of the caller's ends after the failing share has
+                caller_blocks.append(a)
+                _join_first(failed)
+                return np.zeros((b - a, n - a))
+
+            return block
+
+        with pytest.raises(ZeroDivisionError, match="a thread's block"):
+            seminorms._symmetric_form(np.ones(n), new_block)
+        assert len(failed) == 1 and not failed[0].is_alive()
+        assert len(caller_blocks) <= 1
 
     def test_workers_see_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(seminorms, "_workers", lambda: 2)
         seen = {}
 
         def share(blocks):
-            seen[blocks.start] = np.geterr()["over"]
+            for b in blocks:
+                seen[b] = np.geterr()["over"]
 
         with np.errstate(over="ignore"):
             seminorms._split(2, share)
@@ -580,11 +620,14 @@ class TestSmallSumsStayOnTheCaller:
         seen, split = [], seminorms._split
 
         def recording(blocks, share, entries=None):
+            calls = []
+
             def counted(rs):
-                seen.append(rs.step)
+                calls.append(rs)
                 share(rs)
 
             split(blocks, counted, entries)
+            seen.extend([len(calls)] * len(calls))
 
         monkeypatch.setattr(seminorms, "_split", recording)
         return seen
