@@ -60,8 +60,8 @@ def split_spec(spec):
 
 
 def parse_map_spec(spec):
-    """A gallery map spec `name:key=value,...`, or a path ending in .csv
-    holding sampled values (theta, Re f, Im f)."""
+    """A gallery map spec `name:key=value,...`, or a .csv path holding
+    samples (theta_j, Re f, Im f) at theta_j = theta_0 + 2*pi*j/M."""
     if spec.endswith(".csv"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file is caught below
@@ -70,6 +70,11 @@ def parse_map_spec(spec):
             raise ParameterError(
                 f"{spec}: need a header line and rows theta,re,im; got "
                 f"{data.shape[0]} rows of {data.shape[1]} columns")
+        ok = np.abs(data[:, 0] - data[0, 0] - grid.nodes(len(data))) <= 1e-9
+        if not ok.all():  # a NaN theta is not ok either
+            raise ParameterError(
+                f"{spec}: rows theta,re,im need theta_j - theta_0 = 2*pi*j/M "
+                f"within 1e-9; row j = {np.argmin(ok)} breaks it")
         return grid.from_samples(data[:, 1] + 1j * data[:, 2])
     name, params = split_spec(spec)
     return gallery.build_map(name, **params)
@@ -201,7 +206,7 @@ def cmd_optimize(args):
         _write_table(rows, args.output, args.sep)
     sys.stdout.write(_write_table([{
         "value": report.value, "target": report.target, "gap": report.gap,
-        "restarts": report.restarts_used,
+        "runs": report.runs,
         "budget_exhausted": report.budget_exhausted}], None, args.sep))
     return 0
 

@@ -30,8 +30,8 @@ class IndexOutOfRange(ValueError):
 
 
 class ParameterError(ValueError):
-    """A named parameter is unknown, missing, not a number, not integral, or
-    asks for a grid above the size cap."""
+    """A parameter is unknown, missing, not a number, not integral or out of
+    its range, or asks for more grid nodes or breakpoints than the cap."""
 
 
 class Overcrowded(ValueError):

@@ -4,7 +4,7 @@ Every piecewise-linear construction carries its exact analytic phase and
 derivative so quadrature can integrate segment-by-segment between kinks.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,18 +81,17 @@ def zigzag_pair(d1, d2, m=None):
         raise ValueError("zigzag pair needs d1 != d2")
     if d1 < d2:
         p = zigzag_pair(d2, d1, m)
-        return GalleryPair(p.g, p.f, {"d1": d1, "d2": d2}, p.claim,
-                           p.claim_index)
+        return replace(p, f=p.g, g=p.f, params={"d1": d1, "d2": d2})
     if d1 <= 0:
         p = zigzag_pair(-d1, -d2, m)
-        return GalleryPair(grid.conjugate(p.f), grid.conjugate(p.g),
-                           {"d1": d1, "d2": d2}, p.claim, p.claim_index)
+        return replace(p, f=grid.conjugate(p.f), g=grid.conjugate(p.g),
+                       params={"d1": d1, "d2": d2})
 
     d = d1 - d2
     L = d + 1
     pf = _linear_phase([0.0, 2.0 * d * PI / L, TWO_PI],
                        [0.0, TWO_PI * d, TWO_PI * d1])
-    teeth = np.arange(2 * d + 1)  # g = 0, pi, 0, ..., 0 at the knots k pi/L
+    teeth = grid.breakpoint_range(0, 2 * d + 1)  # g = 0, pi, ..., 0 at k pi/L
     pg = _linear_phase(np.append(teeth * (PI / L), TWO_PI),
                        np.append(PI * (teeth % 2), TWO_PI * d2))
     return GalleryPair(grid.from_phase(pf, m), grid.from_phase(pg, m),
@@ -123,6 +122,8 @@ def deflate_phase(f, d, lam):
 def ramp_map(d, gap=0.5, m=None):
     """Smooth degree-d map constant (= 1) on [0, gap] and near 2*pi."""
     d = int(d)
+    if not (0.0 <= gap < PI):
+        raise ParameterError(f"ramp needs 0 <= gap < pi, got {gap:g}")
     width = TWO_PI - 2.0 * gap
 
     def phi(t):
@@ -163,7 +164,7 @@ def oscillator(d1, n, m=None):
         u = np.mod(np.asarray(t, dtype=float), pair)
         return np.where(u < half, float(up), float(down))
 
-    kinks = np.arange(1, 2 * n ** 2) * half
+    kinks = grid.breakpoint_range(1, 2 * n ** 2) * half
     return grid.from_phase(phase_model(phi, dphi, kinks, d1), m)
 
 
@@ -202,9 +203,8 @@ def attainment_pair(d1, p, m=None):
         with np.errstate(divide="ignore", invalid="ignore"):
             return d / (PI * np.sqrt(np.maximum(1.0 - (s / PI) ** 2, 0.0)))
 
-    sings = (2.0 * np.arange(abs(d)) + 1.0) * PI / abs(d)
-    pf = phase_model(phi, dphi, sings, d1)
-    f = grid.from_phase(pf, m)
+    sings = (2.0 * grid.breakpoint_range(0, abs(d)) + 1.0) * PI / abs(d)
+    f = grid.from_phase(phase_model(phi, dphi, sings, d1), m)
     return GalleryPair(f, grid.conjugate(f),
                        {"d1": d1, "d2": -d1, "p": p}, "w1p_formula",
                        (1.0, p, "w1p_quadrature"))
@@ -285,8 +285,10 @@ def capacity_profiles(eps):
 
 
 def _grid_keys(n_dim, m, n_phi):
-    """Reject the grid size of the dimension not chosen: m sizes a circle
-    grid (n_dim = 1), n_phi a sphere grid (n_dim = 2)."""
+    """Reject an n_dim other than 1 or 2, and the grid size of the dimension
+    not chosen: m sizes a circle grid (n_dim = 1), n_phi a sphere grid."""
+    if n_dim not in (1, 2):
+        raise ValueError("n_dim must be 1 or 2")
     if n_dim == 1 and n_phi is not None:
         raise ParameterError("nphi sizes an S^2 grid; it needs ndim=2")
     if n_dim == 2 and m is not None:
@@ -316,9 +318,7 @@ def bump_pair(eps, n_dim=1, m=None, n_phi=None):
                 for phase in _bump_phases_1d(prof, grid.nodes(m)))
         return GalleryPair(f, g, {"eps": eps, "n_dim": 1}, "critical_bump",
                            (0.5, 2.0, "fourier_h_half"))
-    if n_dim == 2:
-        return sphere2.bump_pair_s2(prof, n_phi=n_phi)
-    raise ValueError("n_dim must be 1 or 2")
+    return sphere2.bump_pair_s2(prof, n_phi=n_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +334,12 @@ def multi_bump(d, n_dim=1, n=32, m=None, n_phi=None):
     _grid_keys(n_dim, m, n_phi)
     if n_dim == 2:
         return sphere2.multi_bump_s2(d, n, n_phi=n_phi)
-    if n_dim != 1:
-        raise ValueError("n_dim must be 1 or 2")
     k = abs(d)
     r = 1.0 / n
     spacing = TWO_PI / k
     if 2.0 * r >= spacing:
         raise Overcrowded(f"{k} bumps of radius {r} do not fit disjointly")
-    centers = (np.arange(k) + 0.5) * spacing
+    centers = (grid.breakpoint_range(0, k) + 0.5) * spacing
     sgn = 1 if d > 0 else -1
 
     def total(t, step):

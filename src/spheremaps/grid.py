@@ -32,6 +32,14 @@ def pow2_size(x, floor=DEFAULT_M):
     return max(floor, 1 << int(np.ceil(np.log2(max(x, 1.0)))))
 
 
+def breakpoint_range(start, stop):
+    """np.arange(start, stop) of breakpoint indices, refused past MAX_M."""
+    if stop - start > MAX_M:
+        raise ParameterError(f"the phase has {stop - start} breakpoints, more "
+                             f"than the cap 2^22 = {MAX_M} on grid nodes")
+    return np.arange(start, stop)
+
+
 def _check_m(m):
     if m < 16 or (m & (m - 1)) != 0:
         raise GridTooCoarse(f"grid size must be a power of two >= 16, got {m}")
@@ -56,7 +64,7 @@ def expi(theta):
 
 
 def patch_nonfinite(v, x=None):
-    """Replace non-finite entries by linear interpolation between their
+    """Replace non-finite values by linear interpolation between their
     finite neighbors over the abscissae x (the index when x is None)."""
     bad = ~np.isfinite(v)
     if bad.any():

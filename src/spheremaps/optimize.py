@@ -151,7 +151,7 @@ class OptimizeReport:
     value: float
     params: np.ndarray
     trace: list
-    restarts_used: int
+    runs: int  # descents run: max(restarts, number of seeds)
     target: float
     gap: float  # absolute: value - target
     nfev: int
@@ -421,7 +421,7 @@ def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
                               f"{obj.index.p:g}: |f' - g'|^p overflows")
     target = 0.0 if obj.h_half else w1p_formula(obj.index.p, d1, d2)
     return OptimizeReport(value=value, params=np.asarray(best.x), trace=trace,
-                          restarts_used=n_runs, target=target,
+                          runs=n_runs, target=target,
                           gap=value - target,
                           nfev=sum(int(res.nfev) for res, _ in runs),
                           nit=sum(int(res.nit) for res, _ in runs),

@@ -116,8 +116,7 @@ def h_half_distance(f, g=None):
     return math.sqrt(h_half_seminorm_sq(_difference(f, g)))
 
 
-# one size only: a search calls this thousands of times at one m, and a
-# one-off 2^21-point grid must not keep its 16 MB of modes alive
+# maxsize 1: a one-off 2^21-point grid must not keep 16 MB of modes alive
 @functools.lru_cache(maxsize=1)
 def _abs_modes(m):
     """|grid.fourier_modes(m)| as min(k, m - k), computed once per size and
@@ -142,17 +141,9 @@ def _workers():
         return os.cpu_count() or 1
 
 
-# the least work worth a thread, in array entries per share: a thread start
-# costs about 0.15 ms, and 2^17 entries of the O(M^2) sums about 0.8 ms
-_MIN_SHARE = 1 << 17
-
-
-def _split(blocks, share, entries=None):
+def _split(blocks, share):
     """Run share(its blocks) on w = min(cores, blocks) shares, at least one:
-    share i iterates over blocks i, i + w, ...  Given entries, the array
-    entries of all the blocks, w is also at most entries // _MIN_SHARE, so
-    a small sum stays on the caller's thread; without, each block is worth
-    a thread.
+    share i iterates over blocks i, i + w, ...
 
     The caller runs share 0 and threads run the others; every share sees
     the caller's np.errstate (a context variable, which a new thread does
@@ -160,10 +151,7 @@ def _split(blocks, share, entries=None):
     caller, no share is dealt a further block. The threads are joined
     before the first exception is raised here.
     """
-    w = min(_workers(), blocks)
-    if entries is not None:
-        w = min(w, entries // _MIN_SHARE)
-    w = max(1, w)
+    w = max(1, min(_workers(), blocks))
     errors, stop, err = [], threading.Event(), np.geterr()
 
     def dealt(i):
@@ -224,7 +212,7 @@ def _offset_sums(v, p):
             d **= p / 2.0
             d.sum(axis=1, out=sums[k - 1:k - 1 + n])
 
-    _split(-(-half // _OFFSETS), share, half * m)
+    _split(-(-half // _OFFSETS), share)
     sums[m - half - 1:] = sums[half - 1::-1]  # S_{M-k} = S_k
     return sums
 
@@ -271,7 +259,7 @@ def gagliardo_seminorm(h, s, p):
     return value
 
 
-# rows per block of the dense kernels: one block holds _ROWS x N entries
+# rows per block of the dense kernels: one block holds _ROWS x N values
 _ROWS = 64
 
 
@@ -294,7 +282,7 @@ def _symmetric_form(w, new_block):
             u = w[a:b] @ block(a, b)
             terms[i] = u[:b - a] @ w[a:b] + 2.0 * (u[b - a:] @ w[b:])
 
-    _split(terms.size, share, w.size * (w.size + 1) // 2)
+    _split(terms.size, share)
     total = 0.0
     for term in terms:
         total += term

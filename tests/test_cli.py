@@ -158,6 +158,15 @@ MISUSE = [
     ("seminorm", "--map", "power:d=3", "--s", "0.99", "--p", "300"),
     ("pair", "--pair", "zigzag:d1=1,d2=0", "--s", "0.5", "--p", "1e300"),
     ("sweep", "capacity", "--eps", "1e-300"),
+    # numpy's out-of-memory traceback, exit 1, allocating the breakpoints
+    ("pair", "--pair", "zigzag:d1=10000000000,d2=0", "--s", "1", "--p", "1"),
+    ("pair", "--pair", "attainment:d1=10000000000", "--s", "1", "--p", "1.5"),
+    ("degree", "--map", "oscillator:d1=1,n=100000"),
+    ("degree", "--map", "multibump:d=10000000000,n=100000000000"),
+    # a turned-around smoothstep: each printed a wrong degree, exit 0
+    ("degree", "--map", "ramp:d=2,gap=3.5"),
+    ("degree", "--map", "ramp:d=1,gap=4"),
+    ("degree", "--map", "deflate:d1=1,d=1,gap=4"),
 ]
 
 
@@ -204,7 +213,32 @@ RULES = [
       "--p", "1"), "search needs d1 != d2, got d1 = d2 = 0"),
     (("experiment", "w1p-formula", "--param", "d2=0"),
      "search needs d1 != d2, got d1 = d2 = 0"),
+    (("pair", "--pair", "zigzag:d1=10000000000,d2=0", "--s", "1", "--p", "1"),
+     "the phase has 20000000001 breakpoints, more than the cap 2^22"),
+    (("pair", "--pair", "attainment:d1=10000000000", "--s", "1",
+      "--p", "1.5"),
+     "the phase has 20000000000 breakpoints, more than the cap 2^22"),
+    (("degree", "--map", "oscillator:d1=1,n=100000"),
+     "the phase has 19999999999 breakpoints, more than the cap 2^22"),
+    (("degree", "--map", "multibump:d=10000000000,n=100000000000"),
+     "the phase has 10000000000 breakpoints, more than the cap 2^22"),
+    (("degree", "--map", "oscillator:d1=1,n=1449"),
+     "the phase has 4199201 breakpoints, more than the cap 2^22"),
+    (("degree", "--map", "ramp:d=2,gap=3.5"),
+     "ramp needs 0 <= gap < pi, got 3.5"),
+    (("degree", "--map", "ramp:d=1,gap=4"), "ramp needs 0 <= gap < pi, got 4"),
+    (("degree", "--map", "deflate:d1=1,d=1,gap=4"),
+     "ramp needs 0 <= gap < pi, got 4"),
 ]
+
+
+def _csv_text(theta, samples):
+    return "theta,re,im\n" + "".join(
+        f"{a:.17g},{z.real:.17g},{z.imag:.17g}\n"
+        for a, z in zip(theta, samples))
+
+
+_SQUARE = grid.power_map(2, 64)  # power:d=2 on 64 nodes
 
 
 class TestMisuse:
@@ -216,9 +250,13 @@ class TestMisuse:
         assert err.startswith("error: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    # the reversed rows printed degree -2 and the halved theta 2, exit 0
     @pytest.mark.parametrize("text", [
-        None, "theta,re,im\n", "theta,re\n" + "0,1\n" * 16],
-        ids=["directory", "header-only", "two-columns"])
+        None, "theta,re,im\n", "theta,re\n" + "0,1\n" * 16,
+        _csv_text(_SQUARE.theta[::-1], _SQUARE.samples[::-1]),
+        _csv_text(_SQUARE.theta / 2, _SQUARE.samples)],
+        ids=["directory", "header-only", "two-columns", "reversed-theta",
+             "halved-theta"])
     def test_bad_csv_map_exits_two(self, capsys, tmp_path, text):
         path = tmp_path / "map.csv"
         if text is None:

@@ -129,13 +129,13 @@ class TestSeedsAndSearch:
         assert rep.gap_rel == rep.gap / rep.target
         assert rep.value >= rep.target - 1e-9
         assert len(rep.trace) > 0
-        assert rep.restarts_used >= 1
+        assert rep.runs >= 1
 
 
     def test_gap_is_absolute_and_gap_rel_relative(self):
         def report(value, target):
             return optimize.OptimizeReport(
-                value=value, params=np.zeros(2), trace=[], restarts_used=1,
+                value=value, params=np.zeros(2), trace=[], runs=1,
                 target=target, gap=value - target, nfev=0, nit=0)
 
         rep = report(4.12, 4.0)
@@ -367,7 +367,7 @@ class TestReportCounters:
 def _report_bits(rep):
     return (np.float64(rep.value).tobytes(), rep.params.tobytes(),
             np.asarray(rep.trace).tobytes(), rep.nfev, rep.nit,
-            rep.stop_reason, rep.budget_exhausted, rep.restarts_used)
+            rep.stop_reason, rep.budget_exhausted, rep.runs)
 
 
 @pytest.mark.usefixtures("fast_switches")
@@ -487,7 +487,7 @@ class TestLazyScipy:
         rep = optimize.estimate_inf_distance(
             gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0), k=4,
             budget=20, restarts=0, m_obj=256)
-        assert len(calls) == rep.restarts_used > 0
+        assert len(calls) == rep.runs > 0
 
 
 def test_point_to_class_fits_a_sampled_map_once(monkeypatch):
