@@ -339,10 +339,12 @@ class TestReportCounters:
         monkeypatch.setattr(optimize._Objective, "__call__", counting)
         return calls
 
-    def test_nfev_counts_every_objective_call(self, counted):
+    # at budget 120 the descents race, and replayed calls are not counted
+    @pytest.mark.parametrize("budget", [40, 120])
+    def test_nfev_counts_every_objective_call(self, counted, budget):
         f = gallery.build_map("power", d=1)
         rep = optimize.estimate_inf_distance(
-            f, 0, SobolevIndex(1.0, 2.0), k=4, budget=40, restarts=0,
+            f, 0, SobolevIndex(1.0, 2.0), k=4, budget=budget, restarts=0,
             m_obj=256)
         assert rep.nfev == len(counted)
         assert rep.nit >= len(rep.trace) > 0
@@ -370,35 +372,62 @@ def _report_bits(rep):
             rep.stop_reason, rep.budget_exhausted, rep.runs)
 
 
+SEARCH_CASES = ["w11", "w1p-1.5", "h-half", "one-sided"]
+
+
+def _split_search(case, budget):
+    """One of four small searches of 6 runs, the seeds and then perturbed
+    seeds: each of 2 or 3 shares runs some of both."""
+    kw = dict(k=4, budget=budget, restarts=6, seed=5, m_obj=256)
+    if case == "one-sided":
+        return optimize.estimate_point_to_class(
+            gallery.oscillator(1, 6), 0, SobolevIndex(1.0, 1.0), **kw)
+    index = {"w11": SobolevIndex(1.0, 1.0), "w1p-1.5": SobolevIndex(1.0, 1.5),
+             "h-half": SobolevIndex(0.5, 2.0)}[case]
+    f = gallery.random_map(1, np.random.default_rng(3))
+    return optimize.estimate_inf_distance(f, 0, index, **kw)
+
+
 @pytest.mark.usefixtures("fast_switches")
 class TestSplitSearch:
-    # 6 runs, the seeds and then perturbed seeds: each of 2 or 3 shares
-    # runs some of both
-    @pytest.mark.parametrize("case", ["w11", "w1p-1.5", "h-half", "one-sided"])
+    @pytest.mark.parametrize("case", SEARCH_CASES)
     def test_reports_keep_the_bits_on_any_number_of_cores(self, monkeypatch,
                                                           case):
-        kw = dict(k=4, budget=15, restarts=6, seed=5, m_obj=256)
-        f = gallery.random_map(1, np.random.default_rng(3))
-        if case == "one-sided":
-            def search():
-                return optimize.estimate_point_to_class(
-                    gallery.oscillator(1, 6), 0, SobolevIndex(1.0, 1.0), **kw)
-        else:
-            index = {"w11": SobolevIndex(1.0, 1.0),
-                     "w1p-1.5": SobolevIndex(1.0, 1.5),
-                     "h-half": SobolevIndex(0.5, 2.0)}[case]
-
-            def search():
-                return optimize.estimate_inf_distance(f, 0, index, **kw)
-
         reports = []
         for w in (1, 2, 3):
             monkeypatch.setattr(seminorms, "_workers", lambda: w)
-            reports.append(_report_bits(search()))
+            reports.append(_report_bits(_split_search(case, 15)))
         assert reports[0][-1] == 6
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
-    def test_a_descent_exception_reaches_the_caller(self, monkeypatch):
+    # at budget 120 the winner is among the best two at the checkpoint 40
+    # in all four cases; the one-sided runs all stop before it
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_a_raced_search_keeps_the_report_of_the_full_search(
+            self, monkeypatch, case):
+        raced, full, cut = [], [], []
+        for w in (1, 2, 3):
+            monkeypatch.undo()
+            monkeypatch.setattr(seminorms, "_workers", lambda: w)
+            rep = _split_search(case, 120)
+            raced.append(_report_bits(rep))
+            cut.append(rep.cut)
+            monkeypatch.setattr(optimize, "_checkpoint", lambda budget: budget)
+            rep = _split_search(case, 120)
+            full.append(_report_bits(rep))
+            assert rep.cut == 0
+        assert raced[1] == raced[0] and raced[2] == raced[0]
+        assert cut[1] == cut[0] and cut[2] == cut[0]
+        for r, f in zip(raced, full):
+            assert r[:3] + r[5:] == f[:3] + f[5:]  # all but nfev and nit
+            if cut[0]:
+                assert r[3] < f[3] and r[4] < f[4]
+            else:
+                assert r[3:5] == f[3:5]
+
+    @pytest.mark.parametrize("budget", [10, 60])
+    def test_a_descent_exception_reaches_the_caller(self, monkeypatch,
+                                                    budget):
         monkeypatch.setattr(seminorms, "_workers", lambda: 3)
         scipy_minimize = optimize.minimize
 
@@ -412,11 +441,12 @@ class TestSplitSearch:
         with pytest.raises(ZeroDivisionError, match="a thread's descent"):
             optimize.estimate_inf_distance(
                 gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0),
-                k=4, budget=10, restarts=6, m_obj=256)
+                k=4, budget=budget, restarts=6, m_obj=256)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("budget", [10, 60])
     def test_a_failing_share_stops_the_others_within_one_descent(
-            self, monkeypatch):
+            self, monkeypatch, budget):
         # 2 shares of 6 runs: the caller's would run 0, 2 and 4
         monkeypatch.setattr(seminorms, "_workers", lambda: 2)
         scipy_minimize = optimize.minimize
@@ -438,10 +468,112 @@ class TestSplitSearch:
         with pytest.raises(ZeroDivisionError, match="a thread's descent"):
             optimize.estimate_inf_distance(
                 gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0),
-                k=4, budget=10, restarts=6, m_obj=256)
+                k=4, budget=budget, restarts=6, m_obj=256)
         # none, if the failing share ended before the caller's first run
         assert len(failed) == 1 and not failed[0].is_alive()
         assert len(caller_runs) <= 1
+
+
+class TestRace:
+    @pytest.fixture
+    def descents(self, monkeypatch):
+        """(start, maxiter, result, trace) of every descent, in call order."""
+        log = []
+        descend = optimize._descend
+
+        def logged(objective, x0, budget, maxiter):
+            res, trace = descend(objective, x0, budget, maxiter)
+            log.append((x0.tobytes(), maxiter, res, trace))
+            return res, trace
+
+        monkeypatch.setattr(optimize, "_descend", logged)
+        return log
+
+    def test_a_budget_under_60_cuts_nothing(self, descents):
+        assert optimize._checkpoint(59) == 59
+        assert optimize._checkpoint(60) == 20
+        rep = _split_search("w11", 59)
+        assert rep.cut == 0
+        assert [d[1] for d in descents] == [59] * rep.runs
+        descents.clear()
+        rep = _split_search("w11", 60)
+        assert rep.cut == 4
+        assert [d[1] for d in descents] == [20] * 6 + [60] * 2
+
+    # the race may cut the eventual winner (w11 and one-sided do here), but
+    # every descent it lets finish ends as it would have without the race
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_every_finished_descent_ends_as_without_the_race(
+            self, monkeypatch, descents, case):
+        raced = _split_search(case, 60)
+        log = list(descents)
+        descents.clear()
+        monkeypatch.setattr(optimize, "_checkpoint", lambda budget: budget)
+        _split_search(case, 60)
+        full = {start: (res, trace) for start, _, res, trace in descents}
+        ended = {}  # the last descent from each start
+        for start, maxiter, res, trace in log:
+            ended[start] = (maxiter, res, trace)
+        assert len(ended) == raced.runs
+        cut = 0
+        for start, (maxiter, res, trace) in ended.items():
+            want, want_trace = full[start]
+            if maxiter == 20 and res.nit == 20 and res.status == 1:
+                cut += 1
+                assert want_trace[:20] == trace
+                continue
+            assert (res.x.tobytes(), res.fun, res.message, res.nit) == (
+                want.x.tobytes(), want.fun, want.message, want.nit)
+            assert trace == want_trace
+        assert cut == raced.cut > 0
+
+    @staticmethod
+    def _taped():
+        calls = []
+
+        def objective(x):
+            calls.append(x.copy())
+            return float(x.sum()), 2.0 * x
+
+        return optimize._Tape(objective), calls
+
+    def test_the_tape_answers_while_x_matches(self):
+        tape, calls = self._taped()
+        xs = [np.arange(3.0) + i for i in range(3)]
+        recorded = [tape(x) for x in xs]
+        tape.rewind()
+        for x, (value, grad) in zip(xs, recorded):
+            got = tape(x.copy())
+            assert got[0] == value and np.array_equal(got[1], grad)
+        assert len(calls) == tape.calls == 3
+        # past the tape's end the objective is evaluated
+        assert tape(xs[0])[0] == recorded[0][0]
+        assert len(calls) == tape.calls == 4
+
+    def test_the_tape_evaluates_once_x_differs(self):
+        tape, calls = self._taped()
+        xs = [np.arange(3.0) + i for i in range(3)]
+        for x in xs:
+            tape(x)
+        tape.rewind()
+        tape(xs[0])
+        other = xs[1] + 1e-15 * np.arange(1, 4)
+        value, grad = tape(other)
+        assert len(calls) == 4 and np.array_equal(calls[-1], other)
+        assert value == other.sum() and np.array_equal(grad, 2.0 * other)
+        # the rest of the tape is dropped: a recorded x is evaluated too
+        tape(xs[2])
+        assert len(calls) == tape.calls == 5 and not tape.tape
+
+    def test_the_tape_keeps_copies(self):
+        tape, _ = self._taped()
+        x = np.ones(3)
+        _, grad = tape(x)
+        x += 1.0
+        grad += 1.0
+        tape.rewind()
+        value, grad = tape(np.ones(3))
+        assert value == 3.0 and np.array_equal(grad, 2.0 * np.ones(3))
 
 
 class TestSearchInputs:
