@@ -185,7 +185,7 @@ def cmd_sweep(args):
               if getattr(args, key) is not None}
     result = experiments.run_experiment(_SWEEPS[args.name], **params)
     sys.stdout.write(_write_table(result.rows, args.output, args.sep))
-    return 0
+    return 0 if result.passed else 1
 
 
 def cmd_optimize(args):

@@ -86,6 +86,8 @@ def _run_h_half_blaschke(*, d=2, delta=(1e-1, 1e-2, 1e-3)):
     multiplier's own squared norm is exactly 4 pi^2 |d| at every delta.  The
     measured approach is from below, so the o(1) term is tracked as an
     absolute deviation."""
+    if d == 0:  # the floor 4 pi^2 |d| = 0 has nothing to approach
+        raise ParameterError("h-half-blaschke needs d != 0")
     limit = 4.0 * PI ** 2 * abs(d)
     rows, devs, ok = [], [], True
     for dl in delta:
@@ -255,8 +257,8 @@ def _run_multibump_scaling(*, d=(1, 2, 4, 8), n=32):
     for dv in d:
         h = gallery.multi_bump(dv, 1, n=n)
         val = seminorms.h_half_seminorm_sq(h)
-        slopes.append(val / dv)
-        rows.append({"d": dv, "value_sq": val, "per_degree": val / dv})
+        slopes.append(val / abs(dv))
+        rows.append({"d": dv, "value_sq": val, "per_degree": slopes[-1]})
     ratio = max(slopes) / min(slopes)
     ok = ratio < 1.25
     for r in rows:
@@ -277,10 +279,10 @@ def _run_product_shift_scaling(*, d=(1, 2, 4, 8), s=1.0, p=1.0):
         pair = gallery.product_shift(dv, 0)
         if s == 1.0:
             val = seminorms.w1p_distance(pair.f, pair.g, p)
-            scale = dv if p == 1.0 else dv ** (1.0 / p)
+            scale = abs(dv) if p == 1.0 else abs(dv) ** (1.0 / p)
         else:
             val = seminorms.h_half_distance(pair.f, pair.g)
-            scale = math.sqrt(dv)
+            scale = math.sqrt(abs(dv))
         per.append(val / scale)
         rows.append({"d": dv, "value": val, "scaled": val / scale})
     ratio = max(per) / min(per)

@@ -18,7 +18,6 @@ from .grid import PI, TWO_PI, CircleMap, phase_model
 class GalleryPair:
     f: CircleMap
     g: CircleMap
-    params: dict
     claim: str  # tag of the expected distance formula
     claim_index: tuple = None  # (s, p, seminorm method) the claim is about
 
@@ -81,11 +80,10 @@ def zigzag_pair(d1, d2, m=None):
         raise ValueError("zigzag pair needs d1 != d2")
     if d1 < d2:
         p = zigzag_pair(d2, d1, m)
-        return replace(p, f=p.g, g=p.f, params={"d1": d1, "d2": d2})
+        return replace(p, f=p.g, g=p.f)
     if d1 <= 0:
         p = zigzag_pair(-d1, -d2, m)
-        return replace(p, f=grid.conjugate(p.f), g=grid.conjugate(p.g),
-                       params={"d1": d1, "d2": d2})
+        return replace(p, f=grid.conjugate(p.f), g=grid.conjugate(p.g))
 
     d = d1 - d2
     L = d + 1
@@ -95,8 +93,7 @@ def zigzag_pair(d1, d2, m=None):
     pg = _linear_phase(np.append(teeth * (PI / L), TWO_PI),
                        np.append(PI * (teeth % 2), TWO_PI * d2))
     return GalleryPair(grid.from_phase(pf, m), grid.from_phase(pg, m),
-                       {"d1": d1, "d2": d2}, "w11_zigzag_4d",
-                       (1.0, 1.0, "w1p_quadrature"))
+                       "w11_zigzag_4d", (1.0, 1.0, "w1p_quadrature"))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +202,7 @@ def attainment_pair(d1, p, m=None):
 
     sings = (2.0 * grid.breakpoint_range(0, abs(d)) + 1.0) * PI / abs(d)
     f = grid.from_phase(phase_model(phi, dphi, sings, d1), m)
-    return GalleryPair(f, grid.conjugate(f),
-                       {"d1": d1, "d2": -d1, "p": p}, "w1p_formula",
+    return GalleryPair(f, grid.conjugate(f), "w1p_formula",
                        (1.0, p, "w1p_quadrature"))
 
 
@@ -316,8 +312,7 @@ def bump_pair(eps, n_dim=1, m=None, n_phi=None):
             m = grid.pow2_size(50.0 / eps, floor=1 << 17)
         f, g = (grid.from_samples(grid.expi(phase))
                 for phase in _bump_phases_1d(prof, grid.nodes(m)))
-        return GalleryPair(f, g, {"eps": eps, "n_dim": 1}, "critical_bump",
-                           (0.5, 2.0, "fourier_h_half"))
+        return GalleryPair(f, g, "critical_bump", (0.5, 2.0, "fourier_h_half"))
     return sphere2.bump_pair_s2(prof, n_phi=n_phi)
 
 
@@ -402,8 +397,7 @@ def product_shift(d1, d2, m=None):
     h = grid.from_phase(phase_model(h_phi, dh_phi, winding=1), m)
     g = grid.from_phase(phase_model(g_phi, dg_phi, winding=d2), m)
     f = grid.product(grid.power(h, d1 - d2), g)
-    return GalleryPair(f, g, {"d1": d1, "d2": d2}, "product_shift",
-                       (1.0, 1.0, "w1p_quadrature"))
+    return GalleryPair(f, g, "product_shift", (1.0, 1.0, "w1p_quadrature"))
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +412,7 @@ def plateau_pair(d1, d2, a=PI, m=None):
     f, g = (grid.from_phase(_linear_phase([0.0, a, TWO_PI],
                                           [0.0, TWO_PI * d1, TWO_PI * dv]), m)
             for dv in (d1, d2))
-    return GalleryPair(f, g,
-                       {"d1": d1, "d2": d2, "a": a}, "plateau_2pid",
-                       (1.0, 1.0, "w1p_quadrature"))
+    return GalleryPair(f, g, "plateau_2pid", (1.0, 1.0, "w1p_quadrature"))
 
 
 # ---------------------------------------------------------------------------

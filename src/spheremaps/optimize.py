@@ -328,21 +328,6 @@ class _Objective:
                 (scale * (z.real * gs - z.imag * gc), None))
 
 
-def _descend(objective, x0, budget, maxiter):
-    """One L-BFGS-B descent by the module's minimize (see __getattr__)
-    driven by the objective's exact gradient, capped at maxiter iterations
-    and 4 budget evaluations; the trace holds the value at each iterate,
-    read from scipy's intermediate result."""
-    trace = []
-
-    def cb(intermediate_result):
-        trace.append(float(intermediate_result.fun))
-
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B", callback=cb,
-                   options={"maxiter": maxiter, "maxfun": 4 * budget})
-    return res, trace
-
-
 def _pair_seeds(d1, d2, index, k, m=4096):
     """(x_f, x_g) parameter seeds projected from explicit constructions."""
     seeds = []
@@ -415,23 +400,21 @@ def _checkpoint(budget):
     return c if c >= _MIN_CHECKPOINT else budget
 
 
-class _Tape:
-    """One descent's objective, with a tape of its calls.
+class _Run:
+    """One descent of a search: its objective, start, scipy result (res),
+    trace and count of real objective calls.
 
-    While recording, each call appends (x, value, gradient) to the tape.
-    After rewind, a call answers from the tape while the incoming x equals
-    the recorded one (np.array_equal), so a descent restarted from the same
-    start retraces its recorded iterates without evaluating; from the first
-    x that differs, or once the tape ends, it evaluates for real.  calls
-    counts the real evaluations.
+    On the first descent each call appends (x, value, gradient) to a tape.
+    On the next, a call answers from the tape while the incoming x equals
+    the recorded one (np.array_equal), so the descent retraces its recorded
+    iterates without evaluating; from the first x that differs, or once
+    the tape ends, it evaluates for real.
     """
 
-    def __init__(self, objective):
-        self.objective, self.recording = objective, True
+    def __init__(self, objective, start):
+        self.objective, self.start, self.recording = objective, start, True
         self.tape, self.calls = collections.deque(), 0
-
-    def rewind(self):
-        self.recording = False
+        self.res = self.trace = None
 
     def __call__(self, x):
         if not self.recording and self.tape:
@@ -445,6 +428,24 @@ class _Tape:
             self.tape.append((x.copy(), value, grad.copy()))
         return value, grad
 
+    def descend(self, budget, maxiter):
+        """One L-BFGS-B descent from the start by the module's minimize
+        (see __getattr__), capped at maxiter iterations and 4 budget
+        evaluations; the trace holds scipy's value at each iterate."""
+        trace = []
+
+        def cb(intermediate_result):
+            trace.append(float(intermediate_result.fun))
+
+        self.res = minimize(self, self.start, jac=True, method="L-BFGS-B",
+                            callback=cb, options={"maxiter": maxiter,
+                                                  "maxfun": 4 * budget})
+        self.trace, self.recording = trace, False
+
+    def rank(self):
+        """Lowest value first, NaN last."""
+        return np.isnan(self.res.fun), self.res.fun
+
 
 def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
     """Descend from every seed (and from perturbed seeds up to restarts
@@ -453,7 +454,7 @@ def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
 
     The descents race in two passes (successive halving in one round:
     Jamieson & Talwalkar, AISTATS 2016).  Pass 1 runs every descent to the
-    checkpoint c = _checkpoint(budget) on a recording _Tape; the first c
+    checkpoint c = _checkpoint(budget), recording its tape; the first c
     iterations of a descent capped at c are those of one capped at the
     budget, bit for bit.  Pass 2 restarts from its own start each of the
     _SURVIVORS runs that were still going at c with the lowest values
@@ -463,76 +464,59 @@ def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
     before c is final.  With c = budget nothing is raced.
 
     The constants come from the eventual winner's rank at iteration i in
-    unraced searches (README, "Optimizer threads").  In all 252 bench
-    searches of seeds 2121-2123 (budget 100) it is among the best two at
-    i = 33, but third in 36 of them at i = 20.  At p = 2 in test_04
-    (budget 2000) it is last of 8 from i = 20 to 100 and converges before
-    c = 666; at p = 1 the race cuts 4 of 8 runs, and the iterations drop
-    from 11,614 to 6,794.  At budget 20 the H^{1/2} winner is last of 4 up
-    to i = 10, so a checkpoint under 20 races nothing.
+    unraced searches, measured in README, "Optimizer threads": at budget
+    100 it is among the best two at i = 33 in all 252 bench searches of
+    seeds 2121-2123, and at budget 20 the H^{1/2} winner is last of 4 up to
+    i = 10, so a checkpoint under 20 races nothing.
 
     Each pass is dealt to the cores by seminorms._split, which stops the
     pass within one descent once a run raises.  Each run's start depends
-    on its index alone and lands in its own slot, so the report is the same
-    on any number of cores.
+    on its index alone, so the report is the same on any number of cores.
     """
     start = time.perf_counter()
-    n_runs = max(restarts, len(x_seeds))
     c = _checkpoint(budget)
-    starts = []
-    for r in range(n_runs):
+    runs = []
+    for r in range(max(restarts, len(x_seeds))):
         x0 = np.array(x_seeds[r % len(x_seeds)], dtype=float)
         if r >= len(x_seeds):
             rng = np.random.Generator(np.random.Philox(key=seed, counter=r))
             x0 = x0 + 0.05 * rng.standard_normal(x0.size)
-        starts.append(x0)
-    tapes = [_Tape(obj) for _ in range(n_runs)]
-    runs = [None] * n_runs
+        runs.append(_Run(obj, x0))
     if "minimize" not in globals():  # import scipy's before any thread starts
         __getattr__("minimize")
 
-    def going(r):
-        res = runs[r][0]
-        return c < budget and res.status == 1 and res.nit >= c
-
-    def first(rs):
-        for r in rs:
-            runs[r] = _descend(tapes[r], starts[r], budget, c)
-            if not going(r):
-                tapes[r].tape.clear()
-
-    def second(blocks):
-        for i in blocks:
-            r = survivors[i]
-            tapes[r].rewind()
-            runs[r] = _descend(tapes[r], starts[r], budget, budget)
-
-    def rank(r):  # lowest value first, NaN last, the earliest run on ties
-        fun = runs[r][0].fun
-        return np.isnan(fun), fun
+    def descend(group, maxiter):
+        def share(blocks):
+            for i in blocks:
+                group[i].descend(budget, maxiter)
+        seminorms._split(len(group), share)
 
     # q^{p/2} overflows at a large p; a value that is not finite is rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        seminorms._split(n_runs, first)
-        racing = sorted(filter(going, range(n_runs)), key=rank)
+        descend(runs, c)
+        # the runs still going at c; a stable sort keeps the earliest first
+        racing = sorted((run for run in runs if c < budget and
+                         run.res.status == 1 and run.res.nit >= c),
+                        key=_Run.rank)
         survivors = racing[:_SURVIVORS]
-        for r in racing[_SURVIVORS:]:
-            tapes[r].tape.clear()
-        seminorms._split(len(survivors), second)
-    best, trace = runs[min(range(n_runs), key=rank)]
-    value = float(best.fun)
+        for run in runs:
+            if run not in survivors:
+                run.tape.clear()
+        descend(survivors, budget)
+    best = min(runs, key=_Run.rank)
+    value = float(best.res.fun)
     if not np.isfinite(value):
         raise IndexOutOfRange(f"the search value is {value} at p = "
                               f"{obj.index.p:g}: |f' - g'|^p overflows")
     target = 0.0 if obj.h_half else w1p_formula(obj.index.p, d1, d2)
-    return OptimizeReport(value=value, params=np.asarray(best.x), trace=trace,
-                          runs=n_runs, target=target,
+    return OptimizeReport(value=value, params=np.asarray(best.res.x),
+                          trace=best.trace, runs=len(runs), target=target,
                           gap=value - target,
-                          nfev=sum(tape.calls for tape in tapes),
-                          nit=sum(int(res.nit) for res, _ in runs),
+                          nfev=sum(run.calls for run in runs),
+                          nit=sum(int(run.res.nit) for run in runs),
                           cut=len(racing) - len(survivors),
-                          budget_exhausted=best.status == 1,
-                          stop_reason=str(best.message),
+                          budget_exhausted=best.res.status == 1,
+                          stop_reason=str(best.res.message),
                           wall_s=time.perf_counter() - start)
 
 
@@ -588,7 +572,9 @@ def attainment_probe(d1, p, budget=2000, k=32, seed=0):
     the growth of max|psi'| (concentration = non-attainment signature).
     Each search takes 3 runs on a 2048-node objective grid.
     """
-    if p <= 1.0:
+    if p < 1.0:
+        raise IndexOutOfRange(f"the attainment probe needs p >= 1, got {p:g}")
+    if p == 1.0:
         pair = gallery.zigzag_pair(d1, 0)
         value = seminorms.w1p_distance(pair.f, pair.g, 1.0)
         return {"value": value, "target": 4.0 * abs(d1)}

@@ -352,8 +352,7 @@ def bump_pair_s2(prof, n_phi=None):
     phi = geometric_rows(prof.eps / 16.0, 512 if n_phi is None else n_phi)
     f, g = (_polar(profile, 1, phi=phi, n_lam=64)
             for profile in (prof.F, prof.G))
-    return gallery.GalleryPair(f, g, {"eps": prof.eps, "n_dim": 2},
-                               "critical_bump")
+    return gallery.GalleryPair(f, g, "critical_bump")
 
 
 def vo1_pair(d1, d2, n_phi=None):
@@ -380,5 +379,4 @@ def vo1_pair(d1, d2, n_phi=None):
         bumps = (abs(d2), R / 6.0, min(0.06, R / 12.0), d2)
         f = _with_bumps(f, *bumps)
         g = _with_bumps(g, *bumps)
-    return gallery.GalleryPair(f, g, {"d1": d1, "d2": d2, "R": R},
-                               "vo1_independent")
+    return gallery.GalleryPair(f, g, "vo1_independent")

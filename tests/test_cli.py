@@ -229,6 +229,14 @@ RULES = [
     (("degree", "--map", "ramp:d=1,gap=4"), "ramp needs 0 <= gap < pi, got 4"),
     (("degree", "--map", "deflate:d1=1,d=1,gap=4"),
      "ramp needs 0 <= gap < pi, got 4"),
+    # FAIL against the limit 0, exit 1
+    (("experiment", "h-half-blaschke", "--param", "d=0"),
+     "h-half-blaschke needs d != 0"),
+    # a row of the W^{1,1} zigzag value, "attained", PASS and exit 0
+    (("experiment", "attainment", "--param", "p=0.5"),
+     "the attainment probe needs p >= 1, got 0.5"),
+    (("experiment", "attainment", "--param", "p=-3"),
+     "the attainment probe needs p >= 1, got -3"),
 ]
 
 
@@ -497,6 +505,36 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_a_failing_sweep_exits_one(self, capsys):
+        # eps that rises again: the capacity norms cannot keep decreasing
+        assert cli.main(["sweep", "capacity", "--eps", "1e-2,1e-3,1e-2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert all(line.endswith(",False") for line in lines[1:])
+
+    # a negative d printed a negative per_degree and slope_ratio with PASS,
+    # complex scaled values, or "math domain error" with exit 2
+    @pytest.mark.parametrize("argv,scaled,ratio", [
+        (("experiment", "multibump-scaling", "--param", "d={}"),
+         "per_degree", "slope_ratio"),
+        (("sweep", "product-shift", "--d={}", "--p", "1.5"),
+         "scaled", "scaled_ratio"),
+        (("sweep", "product-shift", "--d={}", "--s", "0.5", "--p", "2"),
+         "scaled", "scaled_ratio")], ids=["multibump", "w1p", "h-half"])
+    def test_scaling_divides_by_the_size_of_d(self, capsys, argv, scaled,
+                                              ratio):
+        tables = []
+        for d in ("1,2", "-1,-2"):
+            assert cli.main([a.format(d) for a in argv]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            tables.append([dict(zip(lines[0].split(","), line.split(",")))
+                           for line in lines[1:3]])
+        for pos, neg in zip(*tables):
+            for col in (scaled, ratio):
+                assert float(neg[col]) > 0.0
+                assert float(neg[col]) == pytest.approx(float(pos[col]),
+                                                        rel=1e-12)
 
 
 class TestSpherePair:

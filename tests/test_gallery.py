@@ -45,8 +45,8 @@ class TestZigzag:
         pair = gallery.zigzag_pair(d1, d2, 4096)
         assert grid.degree_winding(pair.f) == d1
         assert grid.degree_winding(pair.g) == d2
-        assert pair.f.phase.winding == pair.params["d1"] == d1
-        assert pair.g.phase.winding == pair.params["d2"] == d2
+        assert pair.f.phase.winding == d1
+        assert pair.g.phase.winding == d2
 
 
 class TestDeflation:
@@ -281,8 +281,8 @@ class TestProductShiftAndPlateau:
             assert abs(val - TWO_PI * (d2 - d1)) < 1e-6
             # both phases kink at a only, where f goes flat and g takes
             # the tail; at a the derivative is the slope on the right
-            assert pair.f.phase.winding == pair.params["d1"] == d1
-            assert pair.g.phase.winding == pair.params["d2"] == d2
+            assert pair.f.phase.winding == d1
+            assert pair.g.phase.winding == d2
             for h in (pair.f, pair.g):
                 assert np.array_equal(h.phase.breakpoints, [a])
             ends = np.array([0.0, a])

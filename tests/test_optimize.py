@@ -164,6 +164,11 @@ class TestSeedsAndSearch:
         g2 = grid.from_samples(g.samples * rot)
         assert optimize.gauge_aligned_l2(f2, g2, f, g) < 1e-10
 
+    @pytest.mark.parametrize("p", [0.5, -3.0])
+    def test_attainment_probe_needs_p_at_least_one(self, p):
+        with pytest.raises(IndexOutOfRange, match="needs p >= 1"):
+            optimize.attainment_probe(1, p)
+
     def test_attainment_probe_exact_at_p_one(self):
         probe = optimize.attainment_probe(1, 1.0, budget=200, k=8)
         assert abs(probe["value"] - probe["target"]) < 1e-5 * probe["target"]
@@ -479,14 +484,13 @@ class TestRace:
     def descents(self, monkeypatch):
         """(start, maxiter, result, trace) of every descent, in call order."""
         log = []
-        descend = optimize._descend
+        descend = optimize._Run.descend
 
-        def logged(objective, x0, budget, maxiter):
-            res, trace = descend(objective, x0, budget, maxiter)
-            log.append((x0.tobytes(), maxiter, res, trace))
-            return res, trace
+        def logged(run, budget, maxiter):
+            descend(run, budget, maxiter)
+            log.append((run.start.tobytes(), maxiter, run.res, run.trace))
 
-        monkeypatch.setattr(optimize, "_descend", logged)
+        monkeypatch.setattr(optimize._Run, "descend", logged)
         return log
 
     def test_a_budget_under_60_cuts_nothing(self, descents):
@@ -528,51 +532,51 @@ class TestRace:
         assert cut == raced.cut > 0
 
     @staticmethod
-    def _taped():
+    def _run():
         calls = []
 
         def objective(x):
             calls.append(x.copy())
             return float(x.sum()), 2.0 * x
 
-        return optimize._Tape(objective), calls
+        return optimize._Run(objective, np.zeros(3)), calls
 
     def test_the_tape_answers_while_x_matches(self):
-        tape, calls = self._taped()
+        run, calls = self._run()
         xs = [np.arange(3.0) + i for i in range(3)]
-        recorded = [tape(x) for x in xs]
-        tape.rewind()
+        recorded = [run(x) for x in xs]
+        run.recording = False  # as after the first descent
         for x, (value, grad) in zip(xs, recorded):
-            got = tape(x.copy())
+            got = run(x.copy())
             assert got[0] == value and np.array_equal(got[1], grad)
-        assert len(calls) == tape.calls == 3
+        assert len(calls) == run.calls == 3
         # past the tape's end the objective is evaluated
-        assert tape(xs[0])[0] == recorded[0][0]
-        assert len(calls) == tape.calls == 4
+        assert run(xs[0])[0] == recorded[0][0]
+        assert len(calls) == run.calls == 4
 
     def test_the_tape_evaluates_once_x_differs(self):
-        tape, calls = self._taped()
+        run, calls = self._run()
         xs = [np.arange(3.0) + i for i in range(3)]
         for x in xs:
-            tape(x)
-        tape.rewind()
-        tape(xs[0])
+            run(x)
+        run.recording = False  # as after the first descent
+        run(xs[0])
         other = xs[1] + 1e-15 * np.arange(1, 4)
-        value, grad = tape(other)
+        value, grad = run(other)
         assert len(calls) == 4 and np.array_equal(calls[-1], other)
         assert value == other.sum() and np.array_equal(grad, 2.0 * other)
         # the rest of the tape is dropped: a recorded x is evaluated too
-        tape(xs[2])
-        assert len(calls) == tape.calls == 5 and not tape.tape
+        run(xs[2])
+        assert len(calls) == run.calls == 5 and not run.tape
 
     def test_the_tape_keeps_copies(self):
-        tape, _ = self._taped()
+        run, _ = self._run()
         x = np.ones(3)
-        _, grad = tape(x)
+        _, grad = run(x)
         x += 1.0
         grad += 1.0
-        tape.rewind()
-        value, grad = tape(np.ones(3))
+        run.recording = False  # as after the first descent
+        value, grad = run(np.ones(3))
         assert value == 3.0 and np.array_equal(grad, 2.0 * np.ones(3))
 
 
