@@ -205,14 +205,14 @@ def _run_s2_vo1(*, d_list=(3, 7), n_phi=256):
 # --- attainment and lower bounds -------------------------------------------
 
 def _run_attainment(*, p=(1.0, 1.5, 2.0), d1=1, budget=2000, k=32, seed=0):
-    """Attained at p<=1 and 1<p<2; concentrating for p>=2."""
+    """Attained at p=1 and 1<p<2; concentrating for p>=2."""
     from . import optimize
     rows, ok = [], True
     for pv in p:
         probe = optimize.attainment_probe(d1, pv, budget=budget, k=k,
                                           seed=seed)
         row = {"p": pv, "value": probe["value"], "target": probe["target"]}
-        if pv <= 1.0:
+        if pv == 1.0:
             good = abs(probe["value"] - probe["target"]) < 1e-3
             row["verdict"] = "attained"
         elif pv < 2.0:

@@ -572,13 +572,11 @@ def attainment_probe(d1, p, budget=2000, k=32, seed=0):
     the growth of max|psi'| (concentration = non-attainment signature).
     Each search takes 3 runs on a 2048-node objective grid.
     """
-    if p < 1.0:
-        raise IndexOutOfRange(f"the attainment probe needs p >= 1, got {p:g}")
+    index = SobolevIndex(1.0, p)  # rejects p < 1
     if p == 1.0:
         pair = gallery.zigzag_pair(d1, 0)
         value = seminorms.w1p_distance(pair.f, pair.g, 1.0)
         return {"value": value, "target": 4.0 * abs(d1)}
-    index = SobolevIndex(1.0, p)
     if p < 2.0:
         d2 = -d1
         rep = estimate_inf_distance(grid.power_map(d1), d2, index, k=k,

@@ -234,9 +234,9 @@ RULES = [
      "h-half-blaschke needs d != 0"),
     # a row of the W^{1,1} zigzag value, "attained", PASS and exit 0
     (("experiment", "attainment", "--param", "p=0.5"),
-     "the attainment probe needs p >= 1, got 0.5"),
+     "need finite s > 0 and p >= 1, got (1.0, 0.5)"),
     (("experiment", "attainment", "--param", "p=-3"),
-     "the attainment probe needs p >= 1, got -3"),
+     "need finite s > 0 and p >= 1, got (1.0, -3.0)"),
 ]
 
 

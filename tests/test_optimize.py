@@ -166,7 +166,7 @@ class TestSeedsAndSearch:
 
     @pytest.mark.parametrize("p", [0.5, -3.0])
     def test_attainment_probe_needs_p_at_least_one(self, p):
-        with pytest.raises(IndexOutOfRange, match="needs p >= 1"):
+        with pytest.raises(IndexOutOfRange, match="p >= 1, got"):
             optimize.attainment_probe(1, p)
 
     def test_attainment_probe_exact_at_p_one(self):
