@@ -12,12 +12,15 @@ full budget.  A survivor replays its recorded objective calls up to that
 checkpoint, so it ends on the iterates it would have reached without the
 race, and the cut runs' remaining iterations are never paid for.
 
-A search's descents run concurrently, dealt to the process's cores by
-seminorms._split, which also stops them all once one raises; each lands in
-its own slot, so the report keeps its bits on any number of cores.  numpy's
-array loops release the interpreter lock, but scipy's L-BFGS-B loop and the
-small numpy calls of each objective call hold it, so two cores run a search
-about 1.2 times as fast, not twice.
+A two-sided search descends on a coarser grid than it reports on (see
+_descent_grid): the trapezoid rule converges exponentially on its smooth
+periodic integrand, so 32 nodes per mode resolve the seeds' values to a
+relative 3e-5 at p = 1 and to rounding at p = 2 and H^{1/2}.  The winner is then measured
+once on the caller's m_obj.  A one-sided search holds a fixed, kinked map
+whose landscape moves with the grid, so it descends on m_obj itself.
+
+The descents run one after another on the calling thread: the objective
+holds the interpreter lock, so threads bought a search little or nothing.
 """
 
 import collections
@@ -148,14 +151,20 @@ class PhaseAnsatz:
 
 @dataclass
 class OptimizeReport:
-    """Best result of a search; wall_s is the wall time of all its
-    descents, which run concurrently.
+    """Best result of a search.
+
+    The descents run on m_descent nodes (see _descent_grid), so trace,
+    stop_reason and budget_exhausted come from that grid, and
+    value_descent is the winner's value there.  value (and so gap) is the
+    winner measured on the caller's m_obj; a one-sided search descends on
+    m_obj, and then value == value_descent.
 
     nfev counts the objective evaluations of all descents; the ones a
     restarted descent replays from its tape (see _search) are not counted
     again.  nit sums each descent's iterations up to where it ended: the
     checkpoint for a cut descent, the full descent for a survivor, whose
-    replayed iterations count once.
+    replayed iterations count once.  The winner's measure on m_obj counts
+    as one more evaluation when m_descent < m_obj.
 
     gap is absolute (value - target); gap_rel is relative (gap / target).
     """
@@ -172,7 +181,9 @@ class OptimizeReport:
     # the winning descent hit its iteration or evaluation cap
     budget_exhausted: bool = False
     stop_reason: str = ""  # the winning descent's message from scipy
-    wall_s: float = 0.0  # wall time of the concurrent descents
+    wall_s: float = 0.0  # wall time of the descents, run one after another
+    m_descent: int = 0  # nodes of the descent grid
+    value_descent: float = float("nan")  # the winner's value on m_descent
 
     @property
     def gap_rel(self):
@@ -392,6 +403,12 @@ _MIN_CHECKPOINT = 20
 _SURVIVORS = 2
 
 
+def _descent_grid(k, m_obj):
+    """The nodes a two-sided search descends on: 32 per mode and at least
+    1024, rounded up to a power of two, and never more than m_obj."""
+    return min(m_obj, 1 << (max(1024, 32 * k) - 1).bit_length())
+
+
 def _checkpoint(budget):
     """The iteration at which a search's descents race: budget //
     _RACE_SHARE, or the budget itself (no race) when that is under
@@ -433,13 +450,14 @@ class _Run:
         (see __getattr__), capped at maxiter iterations and 4 budget
         evaluations; the trace holds scipy's value at each iterate."""
         trace = []
+        solve = globals().get("minimize") or __getattr__("minimize")
 
         def cb(intermediate_result):
             trace.append(float(intermediate_result.fun))
 
-        self.res = minimize(self, self.start, jac=True, method="L-BFGS-B",
-                            callback=cb, options={"maxiter": maxiter,
-                                                  "maxfun": 4 * budget})
+        self.res = solve(self, self.start, jac=True, method="L-BFGS-B",
+                         callback=cb, options={"maxiter": maxiter,
+                                               "maxfun": 4 * budget})
         self.trace, self.recording = trace, False
 
     def rank(self):
@@ -447,10 +465,11 @@ class _Run:
         return np.isnan(self.res.fun), self.res.fun
 
 
-def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
-    """Descend from every seed (and from perturbed seeds up to restarts
-    runs); the target is the W^{1,p} class distance of (d1, d2), or 0 for
-    H^{1/2}.
+def _search(obj, d1, d2, x_seeds, budget, restarts, seed, measure=None):
+    """Descend on obj from every seed (and from perturbed seeds up to
+    restarts runs), and measure the winner on measure, an objective on a
+    finer grid (None: report obj's value); the target is the W^{1,p} class
+    distance of (d1, d2), or 0 for H^{1/2}.
 
     The descents race in two passes (successive halving in one round:
     Jamieson & Talwalkar, AISTATS 2016).  Pass 1 runs every descent to the
@@ -464,14 +483,13 @@ def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
     before c is final.  With c = budget nothing is raced.
 
     The constants come from the eventual winner's rank at iteration i in
-    unraced searches, measured in README, "Optimizer threads": at budget
+    unraced searches, measured in README, "Optimizer search": at budget
     100 it is among the best two at i = 33 in all 252 bench searches of
     seeds 2121-2123, and at budget 20 the H^{1/2} winner is last of 4 up to
     i = 10, so a checkpoint under 20 races nothing.
 
-    Each pass is dealt to the cores by seminorms._split, which stops the
-    pass within one descent once a run raises.  Each run's start depends
-    on its index alone, so the report is the same on any number of cores.
+    Both passes run on the calling thread, in run order, so a descent
+    that raises stops the search before the next one starts.
     """
     start = time.perf_counter()
     c = _checkpoint(budget)
@@ -482,18 +500,10 @@ def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
             rng = np.random.Generator(np.random.Philox(key=seed, counter=r))
             x0 = x0 + 0.05 * rng.standard_normal(x0.size)
         runs.append(_Run(obj, x0))
-    if "minimize" not in globals():  # import scipy's before any thread starts
-        __getattr__("minimize")
-
-    def descend(group, maxiter):
-        def share(blocks):
-            for i in blocks:
-                group[i].descend(budget, maxiter)
-        seminorms._split(len(group), share)
-
     # q^{p/2} overflows at a large p; a value that is not finite is rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        descend(runs, c)
+        for run in runs:
+            run.descend(budget, c)
         # the runs still going at c; a stable sort keeps the earliest first
         racing = sorted((run for run in runs if c < budget and
                          run.res.status == 1 and run.res.nit >= c),
@@ -502,45 +512,56 @@ def _search(obj, d1, d2, x_seeds, budget, restarts, seed):
         for run in runs:
             if run not in survivors:
                 run.tape.clear()
-        descend(survivors, budget)
-    best = min(runs, key=_Run.rank)
-    value = float(best.res.fun)
+        for run in survivors:
+            run.descend(budget, budget)
+        best = min(runs, key=_Run.rank)
+        value = value_descent = float(best.res.fun)
+        nfev = sum(run.calls for run in runs)
+        if measure is not None:
+            value = float(measure(best.res.x)[0])
+            nfev += 1
     if not np.isfinite(value):
         raise IndexOutOfRange(f"the search value is {value} at p = "
                               f"{obj.index.p:g}: |f' - g'|^p overflows")
     target = 0.0 if obj.h_half else w1p_formula(obj.index.p, d1, d2)
     return OptimizeReport(value=value, params=np.asarray(best.res.x),
                           trace=best.trace, runs=len(runs), target=target,
-                          gap=value - target,
-                          nfev=sum(run.calls for run in runs),
+                          gap=value - target, nfev=nfev,
                           nit=sum(int(run.res.nit) for run in runs),
                           cut=len(racing) - len(survivors),
                           budget_exhausted=best.res.status == 1,
                           stop_reason=str(best.res.message),
-                          wall_s=time.perf_counter() - start)
+                          wall_s=time.perf_counter() - start,
+                          m_descent=obj.m, value_descent=value_descent)
 
 
 def estimate_inf_distance(f, d2, index, k=32, budget=2000, restarts=8,
                           seed=0, m_obj=4096):
     """Two-sided estimate of the class distance from deg(f)'s class to the
     degree-d2 class.  f supplies the starting class d1 and one projection
-    seed; both endpoints move during the search."""
+    seed; both endpoints move during the search, on _descent_grid(k, m_obj)
+    nodes, and the winner is measured on m_obj."""
     _check_search(f, k, budget, restarts, seed, m_obj)
     ph = grid.lift(f)
     d1 = ph.winding
-    ans_f = PhaseAnsatz(d1, k)
-    obj = _Objective(index, PhaseAnsatz(d2, k), ans_f=ans_f, m_obj=m_obj)
+    ans_f, ans_g = PhaseAnsatz(d1, k), PhaseAnsatz(d2, k)
+    m_d = _descent_grid(k, m_obj)
+    obj = _Objective(index, ans_g, ans_f=ans_f, m_obj=m_d)
+    measure = None
+    if m_d < m_obj:
+        measure = _Objective(index, ans_g, ans_f=ans_f, m_obj=m_obj)
     x_seeds = [np.concatenate(s) for s in _pair_seeds(d1, d2, index, k)]
     x_seeds.append(np.concatenate([
         _project_phase(ph.values, d1, k), x_seeds[0][ans_f.dim:]]))
-    return _search(obj, d1, d2, x_seeds, budget, restarts, seed)
+    return _search(obj, d1, d2, x_seeds, budget, restarts, seed, measure)
 
 
 def estimate_point_to_class(f, d2, index, k=32, budget=2000, restarts=8,
                             seed=0, m_obj=4096):
     """One-sided estimate of inf over the degree-d2 class of |f - g|,
     with f held fixed; the class distance is a lower bound for any fixed f
-    in its class, and is the reported target."""
+    in its class, and is the reported target.  The descents run on m_obj
+    itself: f's kinks make the landscape depend on the grid."""
     _check_search(f, k, budget, restarts, seed, m_obj)
     obj = _Objective(index, PhaseAnsatz(d2, k), f=f, m_obj=m_obj)
     return _search(obj, obj.d1, d2, _one_sided_seeds(obj.d1, d2, k), budget,

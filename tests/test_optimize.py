@@ -3,7 +3,6 @@ closed-form targets, and small end-to-end searches."""
 
 import math
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -329,7 +328,7 @@ class TestStopReason:
 class TestReportCounters:
     @pytest.fixture(autouse=True)
     def _two_cores(self, monkeypatch):
-        # the descents run concurrently, and the counters must add them all
+        # the counters must add every descent on any number of cores
         monkeypatch.setattr(seminorms, "_workers", lambda: 2)
 
     @pytest.fixture
@@ -430,20 +429,29 @@ class TestSplitSearch:
             else:
                 assert r[3:5] == f[3:5]
 
+    @staticmethod
+    def _failing_at(monkeypatch, n):
+        """Let the n-th descent raise; the list holds every descent
+        started."""
+        scipy_minimize = optimize.minimize
+        started = []
+
+        def failing(*args, **kwargs):
+            started.append(1)
+            if len(started) == n:
+                raise ZeroDivisionError(f"descent {n}")
+            return scipy_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", failing)
+        return started
+
     @pytest.mark.parametrize("budget", [10, 60])
     def test_a_descent_exception_reaches_the_caller(self, monkeypatch,
                                                     budget):
         monkeypatch.setattr(seminorms, "_workers", lambda: 3)
-        scipy_minimize = optimize.minimize
-
-        def failing(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise ZeroDivisionError("a thread's descent")
-            return scipy_minimize(*args, **kwargs)
-
-        monkeypatch.setattr(optimize, "minimize", failing)
+        self._failing_at(monkeypatch, 2)
         before = threading.active_count()
-        with pytest.raises(ZeroDivisionError, match="a thread's descent"):
+        with pytest.raises(ZeroDivisionError, match="descent 2"):
             optimize.estimate_inf_distance(
                 gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0),
                 k=4, budget=budget, restarts=6, m_obj=256)
@@ -452,31 +460,69 @@ class TestSplitSearch:
     @pytest.mark.parametrize("budget", [10, 60])
     def test_a_failing_share_stops_the_others_within_one_descent(
             self, monkeypatch, budget):
-        # 2 shares of 6 runs: the caller's would run 0, 2 and 4
+        # 6 runs, all in pass 1: the third raises, and none after it starts
         monkeypatch.setattr(seminorms, "_workers", lambda: 2)
-        scipy_minimize = optimize.minimize
-        failed, caller_runs = [], []
-
-        def failing(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                failed.append(threading.current_thread())
-                raise ZeroDivisionError("a thread's descent")
-            # a descent of the caller's ends after the failing share has
-            caller_runs.append(1)
-            deadline = time.monotonic() + 10.0
-            while not failed and time.monotonic() < deadline:
-                time.sleep(0.001)
-            failed[0].join(timeout=10.0)
-            return scipy_minimize(*args, **kwargs)
-
-        monkeypatch.setattr(optimize, "minimize", failing)
-        with pytest.raises(ZeroDivisionError, match="a thread's descent"):
+        started = self._failing_at(monkeypatch, 3)
+        with pytest.raises(ZeroDivisionError, match="descent 3"):
             optimize.estimate_inf_distance(
                 gallery.build_map("power", d=1), 0, SobolevIndex(1.0, 2.0),
                 k=4, budget=budget, restarts=6, m_obj=256)
-        # none, if the failing share ended before the caller's first run
-        assert len(failed) == 1 and not failed[0].is_alive()
-        assert len(caller_runs) <= 1
+        assert len(started) == 3
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_a_search_starts_no_thread(self, monkeypatch, case):
+        monkeypatch.setattr(seminorms, "_workers", lambda: 3)
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        _split_search(case, 60)  # both passes of the race
+        assert started == []
+
+
+class TestDescentGrid:
+    @pytest.mark.parametrize("k,m_obj,m_d", [
+        (32, 4096, 1024), (128, 2048, 2048), (4, 256, 256), (40, 4096, 2048)])
+    def test_32_nodes_per_mode_at_least_1024_at_most_m_obj(self, k, m_obj,
+                                                           m_d):
+        assert optimize._descent_grid(k, m_obj) == m_d
+
+    @pytest.mark.parametrize("index", [
+        SobolevIndex(1.0, 1.0), SobolevIndex(1.0, 1.5), SobolevIndex(1.0, 2.0),
+        SobolevIndex(0.5, 2.0)])
+    def test_a_two_sided_report_is_measured_on_m_obj(self, monkeypatch,
+                                                     index):
+        calls = []
+        call = optimize._Objective.__call__
+
+        def counting(obj, x):
+            calls.append(obj.m)
+            return call(obj, x)
+
+        monkeypatch.setattr(optimize._Objective, "__call__", counting)
+        rep = optimize.estimate_inf_distance(
+            gallery.build_map("power", d=1), 0, index, k=4, budget=20,
+            restarts=0, m_obj=2048)
+        assert rep.m_descent == 1024 and calls[-1] == 2048
+        assert rep.nfev == len(calls) and calls.count(2048) == 1
+        ans_f, ans_g = optimize.PhaseAnsatz(1, 4), optimize.PhaseAnsatz(0, 4)
+        on = {m: optimize._Objective(index, ans_g, ans_f=ans_f, m_obj=m)
+              for m in (1024, 2048)}
+        assert rep.value == on[2048](rep.params)[0]
+        assert rep.value_descent == on[1024](rep.params)[0]
+        assert rep.value_descent == rep.trace[-1]
+        assert rep.gap == rep.value - rep.target
+
+    def test_a_one_sided_report_descends_on_m_obj(self):
+        rep = optimize.estimate_point_to_class(
+            gallery.oscillator(1, 6), 0, SobolevIndex(1.0, 1.0), k=4,
+            budget=20, restarts=0, m_obj=2048)
+        assert rep.m_descent == 2048
+        assert rep.value == rep.value_descent
 
 
 class TestRace:
