@@ -57,8 +57,6 @@ def _run_w1p_formula(*, p=(1.0, 2.0), d2=1, budget=2000, k=32, seed=0):
 
 def _run_dist_w11_hausdorff(*, d=(1, 2, 3), lam=(0.1, 0.01)):
     """Phase deflation realizes the one-sided bound 2 pi |d|."""
-    if 0 in d:  # the relative error to the bound 2 pi |d| = 0 is undefined
-        raise ParameterError("dist-w11-hausdorff needs d != 0")
     rows, ok = [], True
     for dv in d:
         for lv in lam:
@@ -86,8 +84,6 @@ def _run_h_half_blaschke(*, d=2, delta=(1e-1, 1e-2, 1e-3)):
     multiplier's own squared norm is exactly 4 pi^2 |d| at every delta.  The
     measured approach is from below, so the o(1) term is tracked as an
     absolute deviation."""
-    if d == 0:  # the floor 4 pi^2 |d| = 0 has nothing to approach
-        raise ParameterError("h-half-blaschke needs d != 0")
     limit = 4.0 * PI ** 2 * abs(d)
     rows, devs, ok = [], [], True
     for dl in delta:
@@ -164,8 +160,6 @@ def _run_capacity_decay(*, eps=(1e-2, 1e-4, 1e-6),
 
 def _run_s2_energy(*, d=(1, 2), n_phi=128):
     """Stereographic powers: degree d, Dirichlet energy 8 pi |d|."""
-    if 0 in d:  # the relative error to the energy 8 pi |d| = 0 is undefined
-        raise ParameterError("s2-energy needs d != 0")
     rows, ok = [], True
     for dv in d:
         f = sphere2.stereographic_power(dv, n_phi=n_phi)
@@ -237,8 +231,7 @@ def _run_oscillator_lb(*, n=(6, 10, 16), budget=2000, k=32, seed=0):
     """Fast-oscillating maps push one-sided distances toward 2 pi."""
     from . import optimize
     rows, vals = [], []
-    for nv in n:
-        f = gallery.oscillator(1, nv)
+    for nv, f in [(nv, gallery.oscillator(1, nv)) for nv in n]:
         rep = optimize.estimate_point_to_class(
             f, 0, SobolevIndex(1.0, 1.0), k=k, budget=budget,
             restarts=6, seed=seed, m_obj=8192)
@@ -268,8 +261,6 @@ def _run_multibump_scaling(*, d=(1, 2, 4, 8), n=32):
 
 def _run_product_shift_scaling(*, d=(1, 2, 4, 8), s=1.0, p=1.0):
     """Product-shift pair distance linear in the winding gap."""
-    if 0 in d:  # the scaled distance divides by the winding gap d
-        raise ParameterError("product-shift-scaling needs d != 0")
     if s != 1.0 and (s, p) != (0.5, 2.0):
         raise IndexOutOfRange(
             f"product-shift-scaling measures (s, p) = (1, p) or (1/2, 2), "
@@ -336,8 +327,14 @@ def run_experiment(name, **overrides):
         raise KeyError(f"unknown experiment '{name}'; known: "
                        f"{', '.join(sorted(REGISTRY))}")
     runner = REGISTRY[name]
-    rows, passed, summary = runner(**params.coerce(
-        runner.__kwdefaults__, overrides, f"experiment '{name}'"))
+    kw = params.coerce(runner.__kwdefaults__, overrides,
+                       f"experiment '{name}'")
+    # every claim on d divides by |d|, and every p is a Sobolev exponent
+    if 0 in np.ravel(kw.get("d", ())):
+        raise ParameterError(f"{name} needs d != 0")
+    for pv in np.ravel(kw.get("p", ())):
+        SobolevIndex(1.0, pv)
+    rows, passed, summary = runner(**kw)
     for row in rows:  # a row without its own verdict takes the experiment's
         row.setdefault("pass", passed)
     return ExperimentResult(name, rows, passed, summary)

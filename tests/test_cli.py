@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spheremaps import cli, experiments, gallery, grid, sphere2
+from spheremaps import cli, experiments, gallery, grid, optimize, sphere2
 from spheremaps.errors import ParameterError
 
 PI = np.pi
@@ -237,6 +237,27 @@ RULES = [
      "need finite s > 0 and p >= 1, got (1.0, 0.5)"),
     (("experiment", "attainment", "--param", "p=-3"),
      "need finite s > 0 and p >= 1, got (1.0, -3.0)"),
+    # builder, lookup and index rules that no other test reaches
+    (("pair", "--pair", "zigzag:d1=1,d2=1", "--s", "1", "--p", "1"),
+     "zigzag pair needs d1 != d2"),
+    (("degree", "--map", "oscillator:d1=1,n=2"), "need n >= 3"),
+    (("pair", "--pair", "attainment:d1=0", "--s", "1", "--p", "1.5"),
+     "need d1 != 0"),
+    (("degree", "--map", "blaschke:d=1,delta=1.5"), "need 0 < delta < 1"),
+    (("pair", "--pair", "bump:eps=0.01,ndim=3", "--s", "0.5", "--p", "2"),
+     "n_dim must be 1 or 2"),
+    (("degree", "--map", "multibump:d=0"), "need d != 0"),
+    (("pair", "--pair", "plateau:d1=2,d2=1", "--s", "1", "--p", "2"),
+     "plateau pair needs 0 < d1 < d2"),
+    (("degree", "--map", "deflate:d1=1,d=1,lam=7"), "need 0 < lam < 2*pi"),
+    (("pair", "--pair", "vo1:d1=1,d2=1", "--s", "1", "--p", "2"),
+     "need d1 != d2"),
+    (("seminorm", "--map", "power:d=1", "--s", "1", "--p", "2",
+      "--method", "nosuch"), "unknown method"),
+    (("sweep", "nosuch"), "unknown sweep"),
+    (("experiment", "nosuch"), "unknown experiment"),
+    (("optimize", "--from", "power:d=0", "--to-class", "1", "--s", "0.7",
+      "--p", "2"), "searchable indices are (1, p) and (1/2, 2)"),
 ]
 
 
@@ -419,6 +440,40 @@ class TestExperimentParams:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == plain
 
+    # a bad late element ran every search before it, then printed no row
+    @pytest.mark.parametrize("name,param,rule", [
+        ("w1p-formula", "p=1.5,0.5",
+         "need finite s > 0 and p >= 1, got (1.0, 0.5)"),
+        ("attainment", "p=1.5,0.5",
+         "need finite s > 0 and p >= 1, got (1.0, 0.5)"),
+        ("oscillator-lb", "n=6,2", "need n >= 3")])
+    def test_a_bad_late_element_starts_no_search(self, capsys, monkeypatch,
+                                                 name, param, rule):
+        calls = []
+
+        def search(*args, **kwargs):
+            calls.append(args)
+            raise ParameterError("a search started")
+
+        for fn in ("estimate_inf_distance", "estimate_point_to_class",
+                   "attainment_probe"):
+            monkeypatch.setattr(optimize, fn, search)
+        code = cli.main(["experiment", name, "--param", param])
+        assert calls == []
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {rule}\n"
+
+    @pytest.mark.parametrize("name", [
+        name for name, runner in experiments.REGISTRY.items()
+        if "d" in runner.__kwdefaults__])
+    def test_every_d_rejects_zero(self, capsys, name):
+        d = experiments.REGISTRY[name].__kwdefaults__["d"]
+        value = _comma(d + (0,)) if isinstance(d, tuple) else "0"
+        assert cli.main(["experiment", name, "--param", f"d={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {name} needs d != 0\n"
+
 
 class TestCommands:
     def test_degree_power_map(self):
@@ -505,6 +560,15 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_a_failing_experiment_prints_its_failing_rows(self, capsys):
+        # eps that rises: the bump distances rise with it, and the claim fails
+        argv = ["experiment", "eps-bump-critical", "--param", "eps=1e-4,1e-2"]
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].startswith("eps-bump-critical: FAIL")
+        assert [line.split(",")[0] for line in lines[4:]] == [
+            "failing row: 0.0001", "failing row: 0.01"]
 
     def test_a_failing_sweep_exits_one(self, capsys):
         # eps that rises again: the capacity norms cannot keep decreasing
@@ -622,6 +686,28 @@ class TestDeterminism:
         ha = hashlib.md5(a.read_bytes()).hexdigest()
         hb = hashlib.md5(b.read_bytes()).hexdigest()
         assert ha == hb
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_output_file_holds_the_printed_bytes(self, capsys, tmp_path,
+                                                 fmt):
+        path = tmp_path / "out.txt"
+        assert cli.main(["degree", "--map", "power:d=3", "--format", fmt,
+                         "--output", str(path)]) == 0
+        data = path.read_bytes()
+        assert data == capsys.readouterr().out.encode()
+        assert b"\r" not in data and data.count(b"\n") == 4
+        assert data.startswith(b"method,value" if fmt == "csv"
+                               else b"method\tvalue")
+
+    def test_optimize_output_holds_the_trace(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        assert cli.main(["optimize", "--from", "power:d=1", "--to-class", "0",
+                         "--s", "1", "--p", "2", "--budget", "20",
+                         "--restarts", "1", "--output", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("value,target,gap,")
+        head, *rows = path.read_text().splitlines()
+        assert head == "iteration,value" and rows
+        assert [int(r.split(",")[0]) for r in rows] == list(range(len(rows)))
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "out.csv"

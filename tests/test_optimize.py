@@ -326,11 +326,6 @@ class TestStopReason:
 
 
 class TestReportCounters:
-    @pytest.fixture(autouse=True)
-    def _two_cores(self, monkeypatch):
-        # the counters must add every descent on any number of cores
-        monkeypatch.setattr(seminorms, "_workers", lambda: 2)
-
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = []
@@ -379,9 +374,9 @@ def _report_bits(rep):
 SEARCH_CASES = ["w11", "w1p-1.5", "h-half", "one-sided"]
 
 
-def _split_search(case, budget):
+def _small_search(case, budget):
     """One of four small searches of 6 runs, the seeds and then perturbed
-    seeds: each of 2 or 3 shares runs some of both."""
+    seeds."""
     kw = dict(k=4, budget=budget, restarts=6, seed=5, m_obj=256)
     if case == "one-sided":
         return optimize.estimate_point_to_class(
@@ -392,42 +387,30 @@ def _split_search(case, budget):
     return optimize.estimate_inf_distance(f, 0, index, **kw)
 
 
-@pytest.mark.usefixtures("fast_switches")
-class TestSplitSearch:
+class TestSerialSearch:
     @pytest.mark.parametrize("case", SEARCH_CASES)
-    def test_reports_keep_the_bits_on_any_number_of_cores(self, monkeypatch,
-                                                          case):
-        reports = []
-        for w in (1, 2, 3):
-            monkeypatch.setattr(seminorms, "_workers", lambda: w)
-            reports.append(_report_bits(_split_search(case, 15)))
-        assert reports[0][-1] == 6
-        assert reports[1] == reports[0] and reports[2] == reports[0]
+    def test_a_repeated_search_keeps_the_bits(self, case):
+        first, second = (_report_bits(_small_search(case, 15))
+                         for _ in range(2))
+        assert first[-1] == 6
+        assert second == first
 
     # at budget 120 the winner is among the best two at the checkpoint 40
     # in all four cases; the one-sided runs all stop before it
     @pytest.mark.parametrize("case", SEARCH_CASES)
     def test_a_raced_search_keeps_the_report_of_the_full_search(
             self, monkeypatch, case):
-        raced, full, cut = [], [], []
-        for w in (1, 2, 3):
-            monkeypatch.undo()
-            monkeypatch.setattr(seminorms, "_workers", lambda: w)
-            rep = _split_search(case, 120)
-            raced.append(_report_bits(rep))
-            cut.append(rep.cut)
-            monkeypatch.setattr(optimize, "_checkpoint", lambda budget: budget)
-            rep = _split_search(case, 120)
-            full.append(_report_bits(rep))
-            assert rep.cut == 0
-        assert raced[1] == raced[0] and raced[2] == raced[0]
-        assert cut[1] == cut[0] and cut[2] == cut[0]
-        for r, f in zip(raced, full):
-            assert r[:3] + r[5:] == f[:3] + f[5:]  # all but nfev and nit
-            if cut[0]:
-                assert r[3] < f[3] and r[4] < f[4]
-            else:
-                assert r[3:5] == f[3:5]
+        rep = _small_search(case, 120)
+        raced, cut = _report_bits(rep), rep.cut
+        monkeypatch.setattr(optimize, "_checkpoint", lambda budget: budget)
+        rep = _small_search(case, 120)
+        full = _report_bits(rep)
+        assert rep.cut == 0
+        assert raced[:3] + raced[5:] == full[:3] + full[5:]  # but nfev, nit
+        if cut:
+            assert raced[3] < full[3] and raced[4] < full[4]
+        else:
+            assert raced[3:5] == full[3:5]
 
     @staticmethod
     def _failing_at(monkeypatch, n):
@@ -448,7 +431,6 @@ class TestSplitSearch:
     @pytest.mark.parametrize("budget", [10, 60])
     def test_a_descent_exception_reaches_the_caller(self, monkeypatch,
                                                     budget):
-        monkeypatch.setattr(seminorms, "_workers", lambda: 3)
         self._failing_at(monkeypatch, 2)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="descent 2"):
@@ -458,10 +440,9 @@ class TestSplitSearch:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("budget", [10, 60])
-    def test_a_failing_share_stops_the_others_within_one_descent(
-            self, monkeypatch, budget):
+    def test_a_failing_descent_stops_the_search(self, monkeypatch,
+                                                budget):
         # 6 runs, all in pass 1: the third raises, and none after it starts
-        monkeypatch.setattr(seminorms, "_workers", lambda: 2)
         started = self._failing_at(monkeypatch, 3)
         with pytest.raises(ZeroDivisionError, match="descent 3"):
             optimize.estimate_inf_distance(
@@ -471,7 +452,8 @@ class TestSplitSearch:
 
     @pytest.mark.parametrize("case", SEARCH_CASES)
     def test_a_search_starts_no_thread(self, monkeypatch, case):
-        monkeypatch.setattr(seminorms, "_workers", lambda: 3)
+        # every descent runs on the calling thread, so the number of cores
+        # cannot change a report
         started = []
         start = threading.Thread.start
 
@@ -480,7 +462,7 @@ class TestSplitSearch:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting)
-        _split_search(case, 60)  # both passes of the race
+        _small_search(case, 60)  # both passes of the race
         assert started == []
 
 
@@ -542,11 +524,11 @@ class TestRace:
     def test_a_budget_under_60_cuts_nothing(self, descents):
         assert optimize._checkpoint(59) == 59
         assert optimize._checkpoint(60) == 20
-        rep = _split_search("w11", 59)
+        rep = _small_search("w11", 59)
         assert rep.cut == 0
         assert [d[1] for d in descents] == [59] * rep.runs
         descents.clear()
-        rep = _split_search("w11", 60)
+        rep = _small_search("w11", 60)
         assert rep.cut == 4
         assert [d[1] for d in descents] == [20] * 6 + [60] * 2
 
@@ -555,11 +537,11 @@ class TestRace:
     @pytest.mark.parametrize("case", SEARCH_CASES)
     def test_every_finished_descent_ends_as_without_the_race(
             self, monkeypatch, descents, case):
-        raced = _split_search(case, 60)
+        raced = _small_search(case, 60)
         log = list(descents)
         descents.clear()
         monkeypatch.setattr(optimize, "_checkpoint", lambda budget: budget)
-        _split_search(case, 60)
+        _small_search(case, 60)
         full = {start: (res, trace) for start, _, res, trace in descents}
         ended = {}  # the last descent from each start
         for start, maxiter, res, trace in log:
